@@ -53,6 +53,17 @@ AcceleratorConfig::toString() const
         static_cast<long long>(chiplet.al2Bytes));
 }
 
+bool
+isCapacityVariant(const AcceleratorConfig &a, const AcceleratorConfig &b)
+{
+    return a.package.chiplets == b.package.chiplets &&
+           a.chiplet.cores == b.chiplet.cores &&
+           a.core.lanes == b.core.lanes &&
+           a.core.vectorSize == b.core.vectorSize &&
+           a.core.ol1Bytes == b.core.ol1Bytes &&
+           a.core.al1Bytes == b.core.al1Bytes;
+}
+
 AcceleratorConfig
 caseStudyConfig()
 {

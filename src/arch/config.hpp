@@ -98,6 +98,15 @@ struct AcceleratorConfig
 };
 
 /**
+ * True when @p a and @p b differ at most in the W-L1 and A-L2 sizes:
+ * capacity variants of one configuration group, which share every
+ * mapping candidate (see the capacity-batched sweep in
+ * docs/architecture.md).
+ */
+bool isCapacityVariant(const AcceleratorConfig &a,
+                       const AcceleratorConfig &b);
+
+/**
  * The hardware configuration used throughout the case studies of
  * section VI-A: 4 chiplets, 8 cores, 8 lanes of 8-size vector MAC,
  * 1.5 KB O-L1, 800 B A-L1, 18 KB W-L1 and 64 KB A-L2.

@@ -93,14 +93,25 @@ composeAccessAnalysisInto(const ConvLayer &layer,
                           const ReuseResult &wl1, const ReuseResult &al1,
                           const ReuseResult &al2, AccessAnalysis &out)
 {
-    // Reset the POD parts; the ReuseResult assignments below reuse any
-    // criticalPoints capacity @p out already carries (the evaluation
-    // hot loops feed the same AccessAnalysis back in every call).
-    out.counts = AccessCounts{};
+    // The ReuseResult assignments reuse any criticalPoints capacity
+    // @p out already carries (the evaluation hot loops feed the same
+    // AccessAnalysis back in every call).
     out.shapes = shapes;
     out.wl1 = wl1;
     out.al1 = al1;
     out.al2 = al2;
+    composeFixedCountsInto(layer, cfg, mapping, options, out);
+    addFillCountsInto(cfg, mapping, options, out);
+}
+
+void
+composeFixedCountsInto(const ConvLayer &layer,
+                       const AcceleratorConfig &cfg,
+                       const Mapping &mapping,
+                       const AnalysisOptions &options,
+                       AccessAnalysis &out)
+{
+    out.counts = AccessCounts{};
     const MappingShapes &s = out.shapes;
 
     // The parallel-unit counts are promoted to int64 up front so every
@@ -114,23 +125,8 @@ composeAccessAnalysisInto(const ConvLayer &layer,
         std::min<int>(cfg.core.vectorSize, layer.ciPerGroup());
 
     AccessCounts &c = out.counts;
-    const bool acts_shared = options.rotationSharing &&
-        mapping.pkgSpatial == PackagePartition::Channel && np > 1;
-    const bool weights_shared = options.rotationSharing &&
-        mapping.pkgSpatial == PackagePartition::Plane && np > 1;
 
-    // --- weights: DRAM -> (ring) -> W-L1 ----------------------------
-    // cw distinct weight streams per chiplet; each stream fills its
-    // merged W-L1 pool once per analysis.
-    const int64_t w_streams = options.wl1Pooling ? cw : nc;
-    const int64_t w_chip_bits = out.wl1.fillBytes * w_streams * 8;
-    if (weights_shared) {
-        c.dramReadWeightBits += w_chip_bits;
-        c.d2dBits += w_chip_bits * (np - 1);
-    } else {
-        c.dramReadWeightBits += w_chip_bits * np;
-    }
-    c.wl1WriteBits += w_chip_bits * np;
+    // --- weights: W-L1 -> PE (fills: addFillCountsInto) -------------
     // PE-side reads: each core tile consumes its weights once; a
     // merged pool is read once and broadcast to its pw PE arrays.
     const int64_t w_per_tile =
@@ -139,15 +135,7 @@ composeAccessAnalysisInto(const ConvLayer &layer,
     c.wl1ReadBits +=
         s.coreTilesPerChiplet() * cw * w_per_tile * 8 * np;
 
-    // --- activations: DRAM -> (ring) -> A-L2 -> A-L1 -> PE ----------
-    const int64_t a2_chip_bits = out.al2.fillBytes * 8;
-    if (acts_shared) {
-        c.dramReadActBits += a2_chip_bits;
-        c.d2dBits += a2_chip_bits * (np - 1);
-    } else {
-        c.dramReadActBits += a2_chip_bits * np;
-    }
-    c.al2WriteBits += a2_chip_bits * np;
+    // --- activations: A-L2 -> A-L1 -> PE (A-L2 fills: addFill...) ---
     // pw distinct planar streams per chiplet; the cw cores of a
     // channel group receive the same stream via bus multicast.
     c.al2ReadBits +=
@@ -184,6 +172,43 @@ composeAccessAnalysisInto(const ConvLayer &layer,
         static_cast<double>(vec_work) /
         static_cast<double>(ceilDiv(vec_work, cfg.core.vectorSize) *
                             cfg.core.vectorSize);
+}
+
+void
+addFillCountsInto(const AcceleratorConfig &cfg, const Mapping &mapping,
+                  const AnalysisOptions &options, AccessAnalysis &out)
+{
+    const int64_t np = cfg.package.chiplets;
+    const int64_t nc = cfg.chiplet.cores;
+    const int64_t cw = mapping.chipChannelWays;
+    AccessCounts &c = out.counts;
+    const bool acts_shared = options.rotationSharing &&
+        mapping.pkgSpatial == PackagePartition::Channel && np > 1;
+    const bool weights_shared = options.rotationSharing &&
+        mapping.pkgSpatial == PackagePartition::Plane && np > 1;
+
+    // --- weights: DRAM -> (ring) -> W-L1 ----------------------------
+    // cw distinct weight streams per chiplet; each stream fills its
+    // merged W-L1 pool once per analysis.
+    const int64_t w_streams = options.wl1Pooling ? cw : nc;
+    const int64_t w_chip_bits = out.wl1.fillBytes * w_streams * 8;
+    if (weights_shared) {
+        c.dramReadWeightBits += w_chip_bits;
+        c.d2dBits += w_chip_bits * (np - 1);
+    } else {
+        c.dramReadWeightBits += w_chip_bits * np;
+    }
+    c.wl1WriteBits += w_chip_bits * np;
+
+    // --- activations: DRAM -> (ring) -> A-L2 ------------------------
+    const int64_t a2_chip_bits = out.al2.fillBytes * 8;
+    if (acts_shared) {
+        c.dramReadActBits += a2_chip_bits;
+        c.d2dBits += a2_chip_bits * (np - 1);
+    } else {
+        c.dramReadActBits += a2_chip_bits * np;
+    }
+    c.al2WriteBits += a2_chip_bits * np;
 }
 
 } // namespace nnbaton

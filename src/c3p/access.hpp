@@ -133,7 +133,9 @@ AccessAnalysis composeAccessAnalysis(const ConvLayer &layer,
  * composeAccessAnalysis() writing into caller-owned storage.  The
  * evaluation hot loops feed the same @p out back in every call so the
  * criticalPoints vectors keep their capacity; all scalar fields are
- * fully (re)assigned, so no stale state survives.
+ * fully (re)assigned, so no stale state survives.  Copies the inputs
+ * into @p out, then runs composeFixedCountsInto() and
+ * addFillCountsInto().
  */
 void composeAccessAnalysisInto(const ConvLayer &layer,
                                const AcceleratorConfig &cfg,
@@ -144,6 +146,30 @@ void composeAccessAnalysisInto(const ConvLayer &layer,
                                const ReuseResult &al1,
                                const ReuseResult &al2,
                                AccessAnalysis &out);
+
+/**
+ * The counts of composeAccessAnalysisInto() in two halves, split at
+ * the capacity-variant boundary.  composeFixedCountsInto() resets
+ * @p out's counts to everything that does not read the W-L1 or A-L2
+ * fills — PE-side reads, the A-L1 chain, O-L1 / O-L2, MACs, DRAM
+ * writes — and sets the utilisations, from the shapes and A-L1 term
+ * already in @p out.  addFillCountsInto() then adds the W-L1 and A-L2
+ * fill traffic (DRAM reads, ring hops, W-L1 / A-L2 writes).  All
+ * counts are exact integer sums, so the split changes no bit; the
+ * capacity-batched search runs the first half once per candidate and
+ * only the second per buffer-size variant.
+ */
+void composeFixedCountsInto(const ConvLayer &layer,
+                            const AcceleratorConfig &cfg,
+                            const Mapping &mapping,
+                            const AnalysisOptions &options,
+                            AccessAnalysis &out);
+
+/** The W-L1 / A-L2 fill half; see composeFixedCountsInto(). */
+void addFillCountsInto(const AcceleratorConfig &cfg,
+                       const Mapping &mapping,
+                       const AnalysisOptions &options,
+                       AccessAnalysis &out);
 
 } // namespace nnbaton
 

@@ -49,60 +49,52 @@ analyzeBufferFast(const LoopNest &nest, Tensor tensor,
 }
 
 void
-analyzeBufferFastInto(const LoopNest &nest, Tensor tensor,
-                      const ConvLayer &layer, int64_t capacity_bytes,
-                      ReuseResult &out)
+FootprintLadder::resolveInto(int64_t capacity_bytes, ReuseResult &out) const
 {
-    // The deepest nest buildNests() emits is B + 3 package-temporal +
-    // 3 chiplet-temporal + IC + KH + KW + OH + OW = 12 loops; anything
-    // deeper is a foreign nest and takes the reference path.
-    constexpr size_t kMaxDepth = 31;
-    const size_t nb = nest.loops.size();
-    if (nb > kMaxDepth) {
-        out = analyzeBuffer(nest, tensor, layer, capacity_bytes);
-        return;
-    }
+    out.intrinsicBytes = footprint[0];
+    out.criticalPoints = criticalPoints;
+    resolveFillInto(capacity_bytes, out);
+}
 
-    // One running span, grown outward from the atom; fp[b] is the
-    // boundary-b footprint, exactly footprintBytes(spanBelow(b)).
-    // Crossing an irrelevant loop never grows the footprint (the C3P
-    // reuse-region property: footprintBytes() reads none of the dims
-    // isRelevant() rejects), so those boundaries carry the inner value
-    // over instead of recomputing it.
-    int64_t fp[kMaxDepth + 1];
-    uint32_t rel_mask = 0;
-    size_t relevant = 0;
+void
+buildFootprintLadder(const LoopNest &nest, Tensor tensor,
+                     const ConvLayer &layer, FootprintLadder &out)
+{
+    // One running span, grown outward from the atom; footprint[b] is
+    // exactly footprintBytes(spanBelow(b)).  Crossing an irrelevant
+    // loop never grows the footprint (footprintBytes() reads none of
+    // the dims isRelevant() rejects), so those boundaries carry the
+    // inner value over instead of recomputing it.
+    const size_t nb = nest.loops.size();
+    out.footprint.resize(nb + 1);
+    out.tripsAbove.resize(nb + 1);
+    out.criticalPoints.clear();
     TileSpan span = nest.atom;
-    fp[nb] = footprintBytes(tensor, span, layer);
+    out.footprint[nb] = footprintBytes(tensor, span, layer);
     for (size_t i = nb; i-- > 0;) {
         const Dim d = nest.loops[i].dim;
         span.at(d) *= nest.loops[i].trips;
         if (isRelevant(tensor, d, layer)) {
-            rel_mask |= uint32_t{1} << i;
-            ++relevant;
-            fp[i] = footprintBytes(tensor, span, layer);
+            out.footprint[i] = footprintBytes(tensor, span, layer);
+            out.criticalPoints.push_back({i, out.footprint[i]});
         } else {
-            fp[i] = fp[i + 1];
+            out.footprint[i] = out.footprint[i + 1];
         }
     }
+    // Same left-to-right product as LoopNest::tripsAbove().
+    out.tripsAbove[0] = 1;
+    for (size_t i = 0; i < nb; ++i)
+        out.tripsAbove[i + 1] = out.tripsAbove[i] * nest.loops[i].trips;
+}
 
-    out.intrinsicBytes = fp[0];
-    out.criticalPoints.clear();
-    out.criticalPoints.reserve(relevant);
-    for (size_t i = nb; i-- > 0;) {
-        if (rel_mask & (uint32_t{1} << i))
-            out.criticalPoints.push_back({i, fp[i]});
-    }
-    size_t fit = nb;
-    for (size_t b = 0; b <= nb; ++b) {
-        if (fp[b] <= capacity_bytes) {
-            fit = b;
-            break;
-        }
-    }
-    out.fitBoundary = fit;
-    out.footprintAtFit = fp[fit];
-    out.fillBytes = out.footprintAtFit * nest.tripsAbove(fit);
+void
+analyzeBufferFastInto(const LoopNest &nest, Tensor tensor,
+                      const ConvLayer &layer, int64_t capacity_bytes,
+                      ReuseResult &out)
+{
+    FootprintLadder ladder;
+    buildFootprintLadder(nest, tensor, layer, ladder);
+    ladder.resolveInto(capacity_bytes, out);
 }
 
 } // namespace nnbaton

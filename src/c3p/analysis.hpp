@@ -57,6 +57,60 @@ struct ReuseResult
 };
 
 /**
+ * The capacity-independent half of the analysis: the footprint of one
+ * tensor enclosed below every boundary of one nest (the critical
+ * capacities of equations 1-2) and the trip product above each
+ * boundary.  Footprints never shrink toward the outermost boundary,
+ * so a buffer's retention boundary is a threshold lookup on this
+ * ladder: the outermost boundary whose footprint fits.  One ladder
+ * therefore prices every capacity of that buffer — the capacity-
+ * batched sweep derives it once per candidate and resolves it per
+ * buffer-size variant.
+ */
+struct FootprintLadder
+{
+    std::vector<int64_t> footprint;  //!< [b]: bytes enclosed below b
+    std::vector<int64_t> tripsAbove; //!< [b]: trips of loops above b
+    std::vector<CriticalPoint> criticalPoints; //!< innermost first
+
+    /** The retention boundary for @p capacity_bytes (loops.size()
+     *  when not even the atom fits). */
+    size_t fitBoundary(int64_t capacity_bytes) const
+    {
+        const size_t nb = footprint.size() - 1;
+        for (size_t b = 0; b < nb; ++b) {
+            if (footprint[b] <= capacity_bytes)
+                return b;
+        }
+        return nb;
+    }
+
+    /** analyzeBuffer()'s result for a buffer of @p capacity_bytes,
+     *  written into caller-owned storage (all fields reassigned). */
+    void resolveInto(int64_t capacity_bytes, ReuseResult &out) const;
+
+    /** The capacity-dependent fields of resolveInto() only (retention
+     *  boundary, retained footprint, fills); @p out's intrinsic
+     *  footprint and critical points are left as they are. */
+    void resolveFillInto(int64_t capacity_bytes, ReuseResult &out) const
+    {
+        out.fitBoundary = fitBoundary(capacity_bytes);
+        out.footprintAtFit = footprint[out.fitBoundary];
+        out.fillBytes = out.footprintAtFit * tripsAbove[out.fitBoundary];
+    }
+};
+
+/**
+ * Build the footprint ladder of @p tensor through @p nest into
+ * caller-owned storage (vector capacity is reused).  One inward-to-
+ * outward pass: every boundary footprint comes from one running span
+ * accumulation, and crossing an irrelevant loop carries the inner
+ * footprint over (the C3P reuse-region property).
+ */
+void buildFootprintLadder(const LoopNest &nest, Tensor tensor,
+                          const ConvLayer &layer, FootprintLadder &out);
+
+/**
  * Analyse @p tensor through @p nest for a buffer of @p capacity_bytes.
  *
  * The atom footprint is assumed to fit (legality-checked by the
@@ -67,14 +121,12 @@ ReuseResult analyzeBuffer(const LoopNest &nest, Tensor tensor,
                           const ConvLayer &layer, int64_t capacity_bytes);
 
 /**
- * analyzeBuffer() in a single inward-to-outward pass: every boundary
- * footprint is produced by one running span accumulation instead of an
- * O(n) spanBelow() walk per boundary, cutting the scan from quadratic
- * to linear in the nest depth.  Span products are the same exact
- * int64 multiplications in a different (commutative) order, so the
- * result is bit-identical to analyzeBuffer() on every field — the
- * incremental evaluator's hot path relies on that, and the C3P fuzz
- * suite pins it.
+ * analyzeBuffer() as buildFootprintLadder() plus one threshold lookup:
+ * linear instead of quadratic in the nest depth.  Span products are
+ * the same exact int64 multiplications in a different (commutative)
+ * order, so the result is bit-identical to analyzeBuffer() on every
+ * field — the incremental evaluator and the capacity-batched search
+ * rely on that, and the C3P fuzz suite pins it.
  */
 ReuseResult analyzeBufferFast(const LoopNest &nest, Tensor tensor,
                               const ConvLayer &layer,
@@ -82,10 +134,8 @@ ReuseResult analyzeBufferFast(const LoopNest &nest, Tensor tensor,
 
 /**
  * analyzeBufferFast() writing into caller-owned storage: @p out's
- * criticalPoints vector keeps its capacity across calls, so a hot loop
- * feeding the same result slot back in allocates nothing in the steady
- * state (the incremental evaluator's memo fills its ring entries this
- * way).  All fields are fully (re)assigned.
+ * criticalPoints vector keeps its capacity across calls.  All fields
+ * are fully (re)assigned.
  */
 void analyzeBufferFastInto(const LoopNest &nest, Tensor tensor,
                            const ConvLayer &layer, int64_t capacity_bytes,

@@ -35,9 +35,9 @@ fnvStep(uint64_t h, uint64_t v)
     return (h ^ v) * 1099511628211ull; // FNV-1a, one multiply per word
 }
 
-/** Hash of the full nest identity (atom + loop sequence).  Computed
- *  once per nest per analyze(); the memo key mixes the capacity in on
- *  top.  A collision is harmless — find() verifies the full key. */
+/** Hash of the full nest identity (atom + loop sequence), the memo
+ *  key.  Computed once per nest per prepare().  A collision is
+ *  harmless — find() verifies the full nest. */
 uint64_t
 nestHash(const LoopNest &nest)
 {
@@ -138,10 +138,9 @@ classifyMappingDelta(const Mapping &prev, const Mapping &next)
     return MappingDelta::LoopOrder;
 }
 
-const ReuseResult *
+const FootprintLadder *
 IncrementalAnalyzer::NestMemo::find(uint64_t hash,
-                                    const LoopNest &nest,
-                                    int64_t capacity) const
+                                    const LoopNest &nest) const
 {
     // Newest-first: enumeration streams revisit the most recent nests
     // (order flips alternate between two nests per tile point).  The
@@ -151,9 +150,8 @@ IncrementalAnalyzer::NestMemo::find(uint64_t hash,
     size_t i = next;
     for (size_t k = 0; k < n; ++k) {
         i = (i == 0 ? n : i) - 1;
-        if (ring[i].hash == hash && ring[i].capacity == capacity &&
-            sameNest(ring[i].nest, nest))
-            return &ring[i].result;
+        if (ring[i].hash == hash && sameNest(ring[i].nest, nest))
+            return &ring[i].ladder;
     }
     return nullptr;
 }
@@ -188,42 +186,42 @@ IncrementalAnalyzer::crossCheckFromEnv()
            !(v[0] == '0' && v[1] == '\0');
 }
 
-const ReuseResult &
-IncrementalAnalyzer::bufferTerm(NestMemo &memo, const LoopNest &nest,
-                                uint64_t nest_hash, Tensor tensor,
-                                int64_t capacity)
+const FootprintLadder &
+IncrementalAnalyzer::ladderOf(NestMemo &memo, const LoopNest &nest,
+                              uint64_t nest_hash, Tensor tensor)
 {
-    const uint64_t hash =
-        fnvStep(nest_hash, static_cast<uint64_t>(capacity));
-    if (const ReuseResult *hit = memo.find(hash, nest, capacity)) {
+    if (const FootprintLadder *hit = memo.find(nest_hash, nest)) {
         ++stats_.nestReuses;
         return *hit;
     }
     ++stats_.nestScans;
     MemoEntry &slot = memo.claim();
-    slot.hash = hash;
-    slot.capacity = capacity;
+    slot.hash = nest_hash;
     slot.nest = nest;
-    analyzeBufferFastInto(nest, tensor, layer_, capacity, slot.result);
-    return slot.result;
+    buildFootprintLadder(nest, tensor, layer_, slot.ladder);
+    return slot.ladder;
 }
 
 void
 IncrementalAnalyzer::validate(const Mapping &mapping,
+                              const AcceleratorConfig &cfg,
                               const AccessAnalysis &incremental)
 {
     ++stats_.crossChecks;
     const AccessAnalysis full =
-        analyzeMapping(layer_, cfg_, mapping, options_);
+        analyzeMapping(layer_, cfg, mapping, options_);
     if (!sameCounts(incremental.counts, full.counts) ||
         incremental.wl1.fillBytes != full.wl1.fillBytes ||
         incremental.al1.fillBytes != full.al1.fillBytes ||
         incremental.al2.fillBytes != full.al2.fillBytes ||
         incremental.laneUtilization != full.laneUtilization ||
         incremental.vectorUtilization != full.vectorUtilization) {
-        panic("incremental cross-check divergence on %s %s:\n"
+        panic("incremental cross-check divergence on %s %s "
+              "(W-L1 %lld B, A-L2 %lld B):\n"
               "  incremental: %s\n  full:        %s",
               layer_.name.c_str(), mapping.toString().c_str(),
+              static_cast<long long>(cfg.core.wl1Bytes),
+              static_cast<long long>(cfg.chiplet.al2Bytes),
               incremental.counts.toString().c_str(),
               full.counts.toString().c_str());
     }
@@ -240,16 +238,23 @@ void
 IncrementalAnalyzer::analyzeInto(const Mapping &mapping,
                                  AccessAnalysis &out)
 {
-    ++stats_.evaluations;
+    prepare(mapping);
+    beginInto(out);
+    resolveInto(cfg_, out);
+}
+
+void
+IncrementalAnalyzer::prepare(const Mapping &mapping)
+{
     const MappingDelta delta =
         hasPrev_ ? classifyMappingDelta(prevMapping_, mapping)
                  : MappingDelta::Prime;
 
     // The classification only gates shape reuse.  Everything else —
-    // the rebuilt nests, the memoised buffer terms, the shared
-    // composition — is sound for any diff, because the memo keys on
-    // the exact (nest, capacity) pair; a fallback just re-derives the
-    // shapes from scratch instead of carrying them over.
+    // the rebuilt nests, the memoised ladders, the shared composition
+    // — is sound for any diff, because the memo keys on the exact
+    // nest; a fallback just re-derives the shapes from scratch
+    // instead of carrying them over.
     if (delta == MappingDelta::Prime ||
         delta == MappingDelta::Uncovered) {
         ++stats_.fallbacks;
@@ -264,29 +269,63 @@ IncrementalAnalyzer::analyzeInto(const Mapping &mapping,
             shapes_ = deriveShapes(layer_, cfg_, mapping);
         }
     }
+    prepare(mapping, shapes_);
+}
+
+void
+IncrementalAnalyzer::prepare(const Mapping &mapping,
+                             const MappingShapes &shapes)
+{
+    ++stats_.evaluations;
+    if (&shapes != &shapes_)
+        shapes_ = shapes;
     buildNestsInto(layer_, cfg_, mapping, shapes_, nests_);
 
-    const int64_t wl1_capacity =
-        cfg_.core.wl1Bytes *
-        (options_.wl1Pooling ? mapping.chipSplit.parts() : 1);
     const uint64_t core_hash = nestHash(nests_.perCore);
     const uint64_t chiplet_hash = nestHash(nests_.perChiplet);
-    const ReuseResult &wl1 =
-        bufferTerm(wl1Memo_, nests_.perCore, core_hash,
-                   Tensor::Weights, wl1_capacity);
-    const ReuseResult &al1 =
-        bufferTerm(al1Memo_, nests_.perCore, core_hash,
-                   Tensor::Activations, cfg_.core.al1Bytes);
-    const ReuseResult &al2 =
-        bufferTerm(al2Memo_, nests_.perChiplet, chiplet_hash,
-                   Tensor::Activations, cfg_.chiplet.al2Bytes);
-
-    composeAccessAnalysisInto(layer_, cfg_, mapping, options_, shapes_,
-                              wl1, al1, al2, out);
+    wl1Ladder_ =
+        &ladderOf(wl1Memo_, nests_.perCore, core_hash, Tensor::Weights);
+    al1Ladder_ = &ladderOf(al1Memo_, nests_.perCore, core_hash,
+                           Tensor::Activations);
+    al2Ladder_ = &ladderOf(al2Memo_, nests_.perChiplet, chiplet_hash,
+                           Tensor::Activations);
     prevMapping_ = mapping;
     hasPrev_ = true;
+}
+
+void
+IncrementalAnalyzer::beginInto(AccessAnalysis &out)
+{
+    out.shapes = shapes_;
+    al1Ladder_->resolveInto(cfg_.core.al1Bytes, out.al1);
+    out.wl1.intrinsicBytes = wl1Ladder_->footprint[0];
+    out.wl1.criticalPoints = wl1Ladder_->criticalPoints;
+    out.al2.intrinsicBytes = al2Ladder_->footprint[0];
+    out.al2.criticalPoints = al2Ladder_->criticalPoints;
+    composeFixedCountsInto(layer_, cfg_, prevMapping_, options_, out);
+    fixedCounts_ = out.counts;
+}
+
+void
+IncrementalAnalyzer::resolveInto(const AcceleratorConfig &cfg,
+                                 AccessAnalysis &out)
+{
+    if (cfg.core.al1Bytes != cfg_.core.al1Bytes)
+        panic("IncrementalAnalyzer::resolveInto: A-L1 %lld B is not a "
+              "capacity variant of the analyzer's %lld B",
+              static_cast<long long>(cfg.core.al1Bytes),
+              static_cast<long long>(cfg_.core.al1Bytes));
+    // W-L1 buffers of the pw cores sharing one weight stream are
+    // merged into one pool (paper section III-A.2).
+    const int64_t wl1_capacity =
+        cfg.core.wl1Bytes *
+        (options_.wl1Pooling ? prevMapping_.chipSplit.parts() : 1);
+    wl1Ladder_->resolveFillInto(wl1_capacity, out.wl1);
+    al2Ladder_->resolveFillInto(cfg.chiplet.al2Bytes, out.al2);
+    out.counts = fixedCounts_;
+    addFillCountsInto(cfg, prevMapping_, options_, out);
     if (crossCheck_)
-        validate(mapping, out);
+        validate(prevMapping_, cfg, out);
 }
 
 AccessAnalysis

@@ -6,19 +6,26 @@
  * footprint/access algebra for candidates that differ from their
  * enumeration neighbour in a single tile factor or loop position.  The
  * closed-form accounting factors cleanly: the expensive inputs are the
- * three buffer reuse analyses (W-L1, A-L1, A-L2), which depend only on
- * a (loop nest, capacity) pair, and the nests themselves depend only
- * on the derived shapes and the two loop orders.  An
- * IncrementalAnalyzer therefore carries the previous candidate's
- * per-level terms and, for a covered structured diff, rebuilds the
- * nests allocation-free and serves each buffer term either from a
- * small hash-guarded exact-match nest memo or with the linear-time
- * scan (analyzeBufferFast); the final composition runs through the
- * same composeAccessAnalysis() as the full path, so results are
- * bit-identical by construction.  Uncovered diffs fall back to
- * re-deriving the shapes and nests from scratch; the nest memo stays
- * valid across any diff because it keys on the exact (nest, capacity)
- * pair, never on the classification.
+ * three buffer reuse analyses (W-L1, A-L1, A-L2), each a footprint
+ * ladder of one loop nest (c3p/analysis.hpp) resolved at the buffer's
+ * capacity, and the nests themselves depend only on the derived
+ * shapes and the two loop orders.  An IncrementalAnalyzer therefore
+ * carries the previous candidate's per-level terms and, for a covered
+ * structured diff, rebuilds the nests allocation-free and serves each
+ * ladder either from a small hash-guarded exact-match memo keyed on
+ * the nest alone or with the linear-time scan; the final composition
+ * runs through the same composeAccessAnalysis() as the full path, so
+ * results are bit-identical by construction.  Uncovered diffs fall
+ * back to re-deriving the shapes and nests from scratch; the memo
+ * stays valid across any diff because it keys on the exact nest,
+ * never on the classification.
+ *
+ * The analysis splits into prepare() and beginInto() (shapes, nests,
+ * ladders and the fill-independent counts — all capacity-independent)
+ * and resolveInto() (one threshold lookup per W-L1 / A-L2 ladder plus
+ * the fill counts), so the capacity-batched sweep prepares a candidate
+ * once and resolves it for every W-L1 / A-L2 variant of its
+ * configuration group.
  *
  * Covered diffs (docs/architecture.md, "Incremental evaluation"):
  *  - one chiplet-tile factor changed (optionally together with loop
@@ -137,8 +144,43 @@ class IncrementalAnalyzer
 
     /** analyze() composing straight into caller-owned storage (the
      *  hot evaluation loops feed the same slot back in, so its vector
-     *  capacity is reused and nothing is copied twice). */
+     *  capacity is reused and nothing is copied twice).  Equivalent to
+     *  prepare(mapping), beginInto(out), resolveInto(config, out). */
     void analyzeInto(const Mapping &mapping, AccessAnalysis &out);
+
+    /**
+     * The capacity-independent half of analyzeInto(): derive the
+     * shapes (delta-aware), the nests and the W-L1 / A-L1 / A-L2
+     * footprint ladders of @p mapping.  The prepared candidate stays
+     * current until the next prepare().
+     */
+    void prepare(const Mapping &mapping);
+
+    /** prepare() with the shapes already derived by the caller (the
+     *  batched search derives them once for the bound); @p shapes
+     *  must equal deriveShapes() of @p mapping. */
+    void prepare(const Mapping &mapping, const MappingShapes &shapes);
+
+    /**
+     * Write the prepared candidate's capacity-independent analysis
+     * into @p out: the shapes, the A-L1 term (at the analyzer's A-L1
+     * capacity), the intrinsic footprints and critical points of the
+     * W-L1 and A-L2 terms, and the counts that do not read their
+     * fills.
+     */
+    void beginInto(AccessAnalysis &out);
+
+    /**
+     * Complete @p out, begun by beginInto() for the current prepared
+     * candidate, for the W-L1 and A-L2 capacities of @p cfg: one
+     * threshold lookup per ladder, then the fill counts
+     * (addFillCountsInto()).  Calling it again with another variant
+     * rewrites only those fields.  @p cfg must be a capacity variant
+     * of the analyzer's configuration (same compute allocation, O-L1
+     * and A-L1; only W-L1 and A-L2 may differ).  Bit-identical to
+     * analyzeMapping() under @p cfg.
+     */
+    void resolveInto(const AcceleratorConfig &cfg, AccessAnalysis &out);
 
     const IncrementalStats &stats() const { return stats_; }
 
@@ -154,23 +196,22 @@ class IncrementalAnalyzer
     struct MemoEntry
     {
         uint64_t hash = 0;
-        int64_t capacity = -1;
         LoopNest nest;
-        ReuseResult result;
+        FootprintLadder ladder;
     };
 
-    /** One buffer slot's exact-match memo: a small ring keyed on
-     *  (nest, capacity), newest first.  Entries carry a 64-bit key
-     *  hash so the scan compares one word per entry; a hash match is
-     *  verified against the full key before it is trusted. */
+    /** One buffer slot's exact-match memo: a small ring keyed on the
+     *  nest, newest first.  Entries carry a 64-bit nest hash so the
+     *  scan compares one word per entry; a hash match is verified
+     *  against the full nest before it is trusted. */
     struct NestMemo
     {
         static constexpr size_t kEntries = 8;
         std::vector<MemoEntry> ring;
         size_t next = 0;
 
-        const ReuseResult *find(uint64_t hash, const LoopNest &nest,
-                                int64_t capacity) const;
+        const FootprintLadder *find(uint64_t hash,
+                                    const LoopNest &nest) const;
 
         /** Hand out the next ring slot (evicting the oldest entry when
          *  the ring is full) so the caller can fill it in place; the
@@ -178,10 +219,9 @@ class IncrementalAnalyzer
         MemoEntry &claim();
     };
 
-    const ReuseResult &bufferTerm(NestMemo &memo, const LoopNest &nest,
-                                  uint64_t nest_hash, Tensor tensor,
-                                  int64_t capacity);
-    void validate(const Mapping &mapping,
+    const FootprintLadder &ladderOf(NestMemo &memo, const LoopNest &nest,
+                                    uint64_t nest_hash, Tensor tensor);
+    void validate(const Mapping &mapping, const AcceleratorConfig &cfg,
                   const AccessAnalysis &incremental);
 
     const ConvLayer layer_;
@@ -194,6 +234,12 @@ class IncrementalAnalyzer
     MappingShapes shapes_;
     NestSet nests_;
     NestMemo wl1Memo_, al1Memo_, al2Memo_;
+    // The prepared candidate: ladders point into the memo rings and
+    // stay valid until the next prepare() claims a slot.
+    const FootprintLadder *wl1Ladder_ = nullptr;
+    const FootprintLadder *al1Ladder_ = nullptr;
+    const FootprintLadder *al2Ladder_ = nullptr;
+    AccessCounts fixedCounts_; //!< composeFixedCountsInto() result
     AccessAnalysis out_; //!< analyze() result storage (capacity reuse)
     IncrementalStats stats_;
 };

@@ -181,12 +181,16 @@ checkMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
     if (al1_min > cfg.core.al1Bytes)
         return "A-L1 cannot hold one input slice of the core tile";
 
-    // W-L1 must hold at least one vector step of weights.
-    if (static_cast<int64_t>(cfg.core.lanes) * cfg.core.vectorSize >
-        cfg.core.wl1Bytes) {
+    if (!wl1HoldsVectorStep(cfg))
         return "W-L1 cannot hold one vector step of weights";
-    }
     return "";
+}
+
+bool
+wl1HoldsVectorStep(const AcceleratorConfig &cfg)
+{
+    return static_cast<int64_t>(cfg.core.lanes) * cfg.core.vectorSize <=
+           cfg.core.wl1Bytes;
 }
 
 } // namespace nnbaton

@@ -150,6 +150,14 @@ MappingShapes deriveShapes(const ConvLayer &layer,
                            const Mapping &mapping);
 
 /**
+ * The one legality rule that reads the W-L1 size: a core's W-L1 must
+ * hold one vector step of weights (lanes x P bytes).  It does not
+ * depend on the mapping, so it admits either every candidate or none;
+ * the capacity-batched search applies it per buffer-size variant.
+ */
+bool wl1HoldsVectorStep(const AcceleratorConfig &cfg);
+
+/**
  * Soft legality check (paper's candidate pruning): spatial factors
  * must fit the workload, the chiplet tile must cover the core split,
  * O-L1 must hold a core tile of partial sums, A-L1 one input slice,

@@ -213,60 +213,50 @@ explore(const Model &model, const DseOptions &options,
         });
     }
 
-    // One mapping cache serves every design point: swept points share
-    // layer shapes (repeated ResNet-50 blocks) and the table II grid
-    // revisits each compute geometry across memory allocations, so
-    // most lookups hit.  The cache is thread-safe and compute-once.
+    // One mapping cache serves every design point.  Its key holds all
+    // four buffer sizes, so on the Table II grid no point ever hits
+    // another point's entry: every fig15 hit is a DarkNet-19 layer
+    // shape repeated inside one point (292,360 hits and 401,995
+    // misses are exactly 8x and 11x the 36,545 valid points).  The
+    // sharing across points comes from the capacity groups instead:
+    // the W-L1 x A-L2 variants of one (compute, O-L1, A-L1) are
+    // mapped together, with one candidate walk per layer shape
+    // (evaluateSweepGroup).  The cache is thread-safe and
+    // compute-once, and still serves cross-sweep reuse when a caller
+    // passes its own (the serving daemon).
     MappingCache localCache;
     MappingCache &cache = options.cache ? *options.cache : localCache;
+    const std::vector<std::pair<int64_t, int64_t>> groups =
+        capacityGroups(tasks, 0, static_cast<int64_t>(tasks.size()));
     ThreadPool pool(options.threads);
     pool.parallelFor(
-        static_cast<int64_t>(tasks.size()), [&](int64_t i) {
-            SweepPointOutcome &out = outcomes[i];
-            if (out.restored)
-                return;
-            if (options.cancel && options.cancel->cancelled()) {
-                out.kind = SweepPointOutcome::Skipped;
+        static_cast<int64_t>(groups.size()), [&](int64_t g) {
+            const auto [first, last] = groups[static_cast<size_t>(g)];
+            evaluateSweepGroup(model, options, tech, tasks, first, last,
+                               cache, &outcomes[static_cast<size_t>(first)]);
+            // Per-point bookkeeping, in sweep order within the group:
+            // the heartbeat counts points, not groups.
+            for (int64_t i = first; i < last; ++i) {
+                const SweepPointOutcome &out =
+                    outcomes[static_cast<size_t>(i)];
+                if (out.restored)
+                    continue;
                 progressDone.fetch_add(1, std::memory_order_relaxed);
-                return;
+                if (out.kind == SweepPointOutcome::Skipped)
+                    continue;
+                sink.record(designPointKey(tasks[i].compute,
+                                           tasks[i].memory),
+                            out);
+                progressHits.fetch_add(out.stats.cacheHits,
+                                       std::memory_order_relaxed);
+                progressMisses.fetch_add(out.stats.cacheMisses,
+                                         std::memory_order_relaxed);
+                progressEvaluated.fetch_add(out.stats.evaluated,
+                                            std::memory_order_relaxed);
+                progressPruned.fetch_add(out.stats.pruned,
+                                         std::memory_order_relaxed);
+                verif::notifyPointCompleted(options.cancel);
             }
-            try {
-                verif::injectPointFault(i);
-                out = evaluateSweepPoint(model, options, tech, tasks[i],
-                                         cache);
-            } catch (const StatusError &e) {
-                const StatusCode code = e.status().code();
-                if (code == StatusCode::Cancelled ||
-                    code == StatusCode::DeadlineExceeded) {
-                    out = SweepPointOutcome();
-                    out.kind = SweepPointOutcome::Skipped;
-                    return;
-                }
-                if (options.strict)
-                    throw;
-                out = SweepPointOutcome();
-                out.kind = SweepPointOutcome::Poisoned;
-                out.error = e.status().toString();
-            } catch (const std::exception &e) {
-                if (options.strict)
-                    throw;
-                out = SweepPointOutcome();
-                out.kind = SweepPointOutcome::Poisoned;
-                out.error = e.what();
-            }
-            sink.record(designPointKey(tasks[i].compute,
-                                       tasks[i].memory),
-                        out);
-            progressDone.fetch_add(1, std::memory_order_relaxed);
-            progressHits.fetch_add(out.stats.cacheHits,
-                                   std::memory_order_relaxed);
-            progressMisses.fetch_add(out.stats.cacheMisses,
-                                     std::memory_order_relaxed);
-            progressEvaluated.fetch_add(out.stats.evaluated,
-                                        std::memory_order_relaxed);
-            progressPruned.fetch_add(out.stats.pruned,
-                                     std::memory_order_relaxed);
-            verif::notifyPointCompleted(options.cancel);
         });
 
     if (options.progressSeconds > 0) {
@@ -277,6 +267,16 @@ explore(const Model &model, const DseOptions &options,
     // Deterministic collection in sweep order.
     DseResult result = collectSweepOutcomes(tasks, outcomes);
     result.cacheEntries = static_cast<int64_t>(cache.size());
+    // The private cache dies with this sweep.  Freeing its ~400k fig15
+    // entries one by one is about half a second of serial work, so the
+    // sweep's lanes release a shard each.
+    if (!options.cache) {
+        pool.parallelFor(static_cast<int64_t>(MappingCache::kShards),
+                         [&](int64_t shard) {
+                             localCache.releaseShard(
+                                 static_cast<size_t>(shard));
+                         });
+    }
     sink.finish(result.complete);
 
     if (!result.poisoned.empty()) {

@@ -182,6 +182,12 @@ struct DseResult
 /**
  * Run the pre-design sweep for @p model.
  *
+ * The points are evaluated in capacity groups (capacityGroups(),
+ * evaluateSweepGroup() in dse/slice.hpp): the W-L1 x A-L2 variants of
+ * one (compute allocation, O-L1, A-L1) share one candidate walk per
+ * layer shape, with results bit-identical to mapping each point on
+ * its own.  Groups run in parallel on options.threads lanes.
+ *
  * Resilience: a design point whose evaluation throws is quarantined
  * into DseResult::poisoned (unless options.strict), a fired
  * options.cancel token skips the remaining points and marks the

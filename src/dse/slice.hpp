@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dse/explorer.hpp"
@@ -65,9 +66,9 @@ struct SweepPointOutcome
 };
 
 /**
- * Evaluate one task.  Propagates exceptions (the caller owns
- * quarantine policy); honours options.cancel through the mapping
- * search.
+ * Evaluate one task: a capacity group of one.  Propagates exceptions
+ * (the caller owns quarantine policy); honours options.cancel through
+ * the mapping search.
  */
 SweepPointOutcome evaluateSweepPoint(const Model &model,
                                      const DseOptions &options,
@@ -76,7 +77,38 @@ SweepPointOutcome evaluateSweepPoint(const Model &model,
                                      MappingCache &cache);
 
 /**
+ * Split [begin, end) of @p tasks into capacity groups: maximal
+ * contiguous runs sharing the compute allocation, O-L1 and A-L1,
+ * whose points differ only in W-L1 and A-L2 and so share every
+ * mapping candidate.  The canonical task order varies W-L1 and A-L2
+ * innermost, so the Table II grid falls into one group per (compute,
+ * O-L1, A-L1); proportional-memory sweeps give groups of one.
+ * Returns [first, last) ranges in order.
+ */
+std::vector<std::pair<int64_t, int64_t>>
+capacityGroups(const std::vector<SweepTask> &tasks, int64_t begin,
+               int64_t end);
+
+/**
+ * Evaluate the capacity group [begin, end) of @p tasks into
+ * outcomes[0 .. end-begin) under the sweep's per-point policy: points
+ * already marked restored are left alone, a fired options.cancel
+ * skips, verif::injectPointFault and the area budget apply per point,
+ * and a point whose evaluation throws is quarantined (or rethrown
+ * under options.strict) without disturbing the others.  The surviving
+ * points are mapped together by mapModelVariants(), so each outcome
+ * is bit-identical to evaluateSweepPoint() on it.  Branch-and-bound
+ * and annealing sweeps map point by point.
+ */
+void evaluateSweepGroup(const Model &model, const DseOptions &options,
+                        const TechnologyModel &tech,
+                        const std::vector<SweepTask> &tasks,
+                        int64_t begin, int64_t end, MappingCache &cache,
+                        SweepPointOutcome *outcomes);
+
+/**
  * Evaluate the contiguous slice [begin, end) of @p tasks serially,
+ * group by group (capacityGroups(), evaluateSweepGroup()),
  * returning end-begin outcomes (slot i holds task begin+i).  Faults
  * are quarantined as Poisoned (or rethrown under options.strict) and
  * a fired options.cancel marks the remaining slots Skipped — the same

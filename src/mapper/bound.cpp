@@ -63,23 +63,12 @@ cycleFloor(const AcceleratorConfig &cfg, const TechnologyModel &tech,
 
 } // namespace
 
-namespace {
-
-/** Energy floor plus the DRAM / ring traffic floors it was built
- *  from (the EDP bound reuses the traffic for its cycle floor). */
-struct EnergyFloor
+BoundFloor
+boundFloor(const ConvLayer &layer, const AcceleratorConfig &cfg,
+           const TechnologyModel &tech, const MappingShapes &s,
+           const Mapping &mapping, Objective objective,
+           const AnalysisOptions &options)
 {
-    double energy = 0.0;
-    double dramBits = 0.0;
-    double d2dBits = 0.0;
-};
-
-EnergyFloor
-energyFloorOf(const ConvLayer &layer, const AcceleratorConfig &cfg,
-              const TechnologyModel &tech, const MappingShapes &s,
-              const Mapping &mapping, const AnalysisOptions &options)
-{
-
     const int np = cfg.package.chiplets;
     const int nc = cfg.chiplet.cores;
     const int cw = mapping.chipChannelWays;
@@ -100,7 +89,8 @@ energyFloorOf(const ConvLayer &layer, const AcceleratorConfig &cfg,
     const bool weights_shared =
         options.rotationSharing && !chan && np > 1;
 
-    EnergyBreakdown e;
+    BoundFloor f;
+    EnergyBreakdown &e = f.energy;
 
     // DRAM: outputs are written exactly once; weights are compulsory
     // (>= one read of every weight regardless of sharing); the shared
@@ -120,9 +110,8 @@ energyFloorOf(const ConvLayer &layer, const AcceleratorConfig &cfg,
 
     // A-L2: each of the N_P chiplets writes its macro's input once;
     // reads are floored by the per-core fills (pw planar streams per
-    // chiplet thanks to multicast).
-    e.al2 = (chip_act * np + core_act * pw * np) *
-            tech.sramEnergyPerBit(cfg.chiplet.al2Bytes);
+    // chiplet thanks to multicast).  Priced per capacity variant.
+    f.al2Bits = chip_act * np + core_act * pw * np;
 
     // A-L1 writes: all N_C cores fill their macro's input at least
     // once.  Reads are exact: the active lanes share one P-wide
@@ -137,12 +126,13 @@ energyFloorOf(const ConvLayer &layer, const AcceleratorConfig &cfg,
     // W-L1 writes: every weight enters some pool at least once; a
     // P-type package split replicates the full set per chiplet.
     // Reads are exact: each core tile consumes its weights once.
+    // Priced per capacity variant.
     const double wl1_w = w_bits * ((!chan && np > 1) ? np : 1);
     const double w_per_tile = static_cast<double>(s.coreTile.co) *
                               layer.ciPerGroup() * layer.kh * layer.kw;
     const double wl1_r = static_cast<double>(s.coreTilesPerChiplet()) *
                          cw * w_per_tile * 8.0 * np;
-    e.wl1 = (wl1_w + wl1_r) * tech.sramEnergyPerBit(cfg.core.wl1Bytes);
+    f.wl1Bits = wl1_w + wl1_r;
 
     // O-L1 and O-L2 are exact closed forms of the accounting.
     const int p = std::min<int>(cfg.core.vectorSize, layer.ciPerGroup());
@@ -157,18 +147,35 @@ energyFloorOf(const ConvLayer &layer, const AcceleratorConfig &cfg,
     // free tightness.
     e.vector = static_cast<double>(layer.vectorOps()) *
                tech.vectorOpEnergyPerOp;
-    return EnergyFloor{e.total(), dram_act + w_bits + out_bits, d2d};
+
+    if (objective == Objective::MinEdp) {
+        f.cycles = cycleFloor(
+            cfg, tech,
+            static_cast<double>(computeCycles(layer, cfg, s)),
+            dram_act + w_bits + out_bits, d2d);
+    }
+    return f;
 }
 
-} // namespace
+double
+priceBound(const BoundFloor &floor, double al2_pj_per_bit,
+           double wl1_pj_per_bit, Objective objective)
+{
+    EnergyBreakdown e = floor.energy;
+    e.al2 = floor.al2Bits * al2_pj_per_bit;
+    e.wl1 = floor.wl1Bits * wl1_pj_per_bit;
+    const double energy = e.total();
+    return objective == Objective::MinEnergy ? energy
+                                             : energy * floor.cycles;
+}
 
 double
 energyLowerBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
                  const TechnologyModel &tech, const Mapping &mapping,
                  const AnalysisOptions &options)
 {
-    const MappingShapes s = deriveShapes(layer, cfg, mapping);
-    return energyFloorOf(layer, cfg, tech, s, mapping, options).energy;
+    return scoreLowerBound(layer, cfg, tech, mapping,
+                           Objective::MinEnergy, options);
 }
 
 double
@@ -177,14 +184,10 @@ scoreLowerBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
                 Objective objective, const AnalysisOptions &options)
 {
     const MappingShapes s = deriveShapes(layer, cfg, mapping);
-    const EnergyFloor f =
-        energyFloorOf(layer, cfg, tech, s, mapping, options);
-    if (objective == Objective::MinEnergy)
-        return f.energy;
-    return f.energy *
-           cycleFloor(cfg, tech,
-                      static_cast<double>(computeCycles(layer, cfg, s)),
-                      f.dramBits, f.d2dBits);
+    return priceBound(
+        boundFloor(layer, cfg, tech, s, mapping, objective, options),
+        tech.sramEnergyPerBit(cfg.chiplet.al2Bytes),
+        tech.sramEnergyPerBit(cfg.core.wl1Bytes), objective);
 }
 
 double

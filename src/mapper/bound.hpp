@@ -35,6 +35,7 @@
 
 #include "arch/config.hpp"
 #include "c3p/access.hpp"
+#include "cost/energy.hpp"
 #include "dataflow/mapping.hpp"
 #include "mapper/candidates.hpp"
 #include "mapper/search.hpp"
@@ -42,6 +43,40 @@
 #include "tech/technology.hpp"
 
 namespace nnbaton {
+
+/**
+ * The capacity-independent part of a candidate's score lower bound:
+ * every energy floor term except A-L2 and W-L1, which stay bit counts
+ * until priceBound() multiplies them by a capacity's energy per bit,
+ * plus the EDP cycle floor (none of the traffic floors read the W-L1
+ * or A-L2 size).  The capacity-batched search computes it once per
+ * candidate and prices it per buffer-size variant; scoreLowerBound()
+ * is exactly boundFloor() then priceBound(), so the bound has one
+ * implementation and both paths produce the same bits.
+ */
+struct BoundFloor
+{
+    EnergyBreakdown energy; //!< pJ; al2 and wl1 left at zero
+    double al2Bits = 0.0;   //!< A-L2 floor traffic (bits)
+    double wl1Bits = 0.0;   //!< W-L1 floor traffic (bits)
+    double cycles = 0.0;    //!< cycle floor (Objective::MinEdp only)
+};
+
+/** The floor of @p mapping, whose derived shapes are @p shapes. */
+BoundFloor boundFloor(const ConvLayer &layer,
+                      const AcceleratorConfig &cfg,
+                      const TechnologyModel &tech,
+                      const MappingShapes &shapes,
+                      const Mapping &mapping, Objective objective,
+                      const AnalysisOptions &options = {});
+
+/**
+ * Price @p floor for one capacity variant: @p al2_pj_per_bit and
+ * @p wl1_pj_per_bit are TechnologyModel::sramEnergyPerBit() of the
+ * variant's A-L2 and W-L1 sizes.  Returns the score bound.
+ */
+double priceBound(const BoundFloor &floor, double al2_pj_per_bit,
+                  double wl1_pj_per_bit, Objective objective);
 
 /**
  * Lower bound on the total energy (pJ) of evaluating @p mapping for

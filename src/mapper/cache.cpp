@@ -142,13 +142,77 @@ MappingCache::findShapeMatch(const Key &key) const
             if (k == key)
                 continue; // the caller's own key is a plain hit
             const auto it = shard.map.find(k);
-            if (it == shard.map.end() || !it->second->published ||
+            if (it == shard.map.end() ||
+                it->second->state != Entry::State::Ready ||
                 !it->second->value)
                 continue;
             return it->second->value->mapping;
         }
     }
     return std::nullopt;
+}
+
+std::shared_ptr<MappingCache::Entry>
+MappingCache::claim(Shard &shard, const Key &key, Entry::State &was)
+{
+    NNBATON_TRACE_SCOPE("mapper.cache_lookup");
+    std::lock_guard<std::mutex> lock(shard.m);
+    std::shared_ptr<Entry> &slot = shard.map[key];
+    if (!slot) {
+        slot = std::make_shared<Entry>();
+        shard.lru.push_front(key);
+        slot->lruIt = shard.lru.begin();
+    } else {
+        // Touch: most-recently-used entries live at the front.
+        shard.lru.splice(shard.lru.begin(), shard.lru, slot->lruIt);
+    }
+    was = slot->state;
+    if (was == Entry::State::Empty)
+        slot->state = Entry::State::Computing;
+    return slot;
+}
+
+void
+MappingCache::finish(Shard &shard, Entry &entry,
+                     const std::optional<MappingChoice> *value)
+{
+    // The value is written before the state flips under the lock, and
+    // readers only touch it after seeing Ready under that lock, so the
+    // copy needs no lock of its own.
+    if (value)
+        entry.value = *value;
+    {
+        std::lock_guard<std::mutex> lock(shard.m);
+        if (value) {
+            // Publish: account the entry's bytes and shed LRU tails if
+            // the shard is now over its share of the cap.
+            entry.state = Entry::State::Ready;
+            shard.bytes += kEntryBytes;
+            evictLocked(shard);
+        } else {
+            entry.state = Entry::State::Empty;
+        }
+    }
+    shard.ready.notify_all();
+}
+
+bool
+MappingCache::await(Shard &shard, const Entry &entry)
+{
+    std::unique_lock<std::mutex> lock(shard.m);
+    shard.ready.wait(lock, [&] {
+        return entry.state != Entry::State::Computing;
+    });
+    return entry.state == Entry::State::Ready;
+}
+
+void
+MappingCache::count(size_t shard, bool hit)
+{
+    CacheMetrics &cm = cacheMetrics();
+    (hit ? cm.hits : cm.misses)->add();
+    (hit ? cm.shardHits : cm.shardMisses)[shard]->add();
+    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
 }
 
 std::optional<MappingChoice>
@@ -159,47 +223,95 @@ MappingCache::lookupOrCompute(
 {
     const size_t shard_idx = KeyHash{}(key) % kShards;
     Shard &shard = shards_[shard_idx];
-    std::shared_ptr<Entry> entry;
-    {
-        NNBATON_TRACE_SCOPE("mapper.cache_lookup");
-        std::lock_guard<std::mutex> lock(shard.m);
-        std::shared_ptr<Entry> &slot = shard.map[key];
-        if (!slot) {
-            slot = std::make_shared<Entry>();
-            shard.lru.push_front(key);
-            slot->lruIt = shard.lru.begin();
-        } else {
-            // Touch: most-recently-used entries live at the front.
-            shard.lru.splice(shard.lru.begin(), shard.lru,
-                             slot->lruIt);
+    // Loops only when the search this call waited on threw: the entry
+    // is then Empty again and this caller claims it.
+    for (;;) {
+        Entry::State was;
+        const std::shared_ptr<Entry> entry = claim(shard, key, was);
+        if (was == Entry::State::Empty) {
+            std::optional<MappingChoice> value;
+            try {
+                value = search();
+            } catch (...) {
+                finish(shard, *entry, nullptr);
+                throw;
+            }
+            finish(shard, *entry, &value);
+            count(shard_idx, false);
+            if (was_hit)
+                *was_hit = false;
+            return value;
         }
-        entry = slot;
+        if (was == Entry::State::Computing && !await(shard, *entry))
+            continue;
+        count(shard_idx, true);
+        if (was_hit)
+            *was_hit = true;
+        return entry->value;
     }
-    bool computed = false;
-    std::call_once(entry->once, [&] {
-        entry->value = search();
-        computed = true;
-    });
-    if (computed) {
-        // Publish: account the entry's bytes and shed LRU tails if
-        // the shard is now over its share of the cap.  The entry may
-        // have been evicted while the search ran (another thread
-        // pushed the shard over); it is then simply not re-accounted.
-        std::lock_guard<std::mutex> lock(shard.m);
-        auto it = shard.map.find(key);
-        if (it != shard.map.end() && it->second == entry) {
-            entry->published = true;
-            shard.bytes += kEntryBytes;
-            evictLocked(shard);
+}
+
+void
+MappingCache::lookupOrComputeBatch(const std::vector<Key> &keys,
+                                   const BatchSearch &search,
+                                   std::vector<BatchSlot> &slots)
+{
+    const size_t n = keys.size();
+    slots.assign(n, BatchSlot{});
+    std::vector<size_t> shard_of(n);
+    std::vector<std::shared_ptr<Entry>> entries(n);
+    std::vector<size_t> pending(n), owned, waiting;
+    for (size_t i = 0; i < n; ++i) {
+        shard_of[i] = KeyHash{}(keys[i]) % kShards;
+        pending[i] = i;
+    }
+    const auto hit = [&](size_t i) {
+        slots[i].value = entries[i]->value;
+        slots[i].hit = true;
+        count(shard_of[i], true);
+    };
+
+    // Rounds: claim what is free, search the claims together, then
+    // await the keys other callers hold.  A key whose owner's search
+    // threw comes back Empty and goes into the next round.
+    while (!pending.empty()) {
+        owned.clear();
+        waiting.clear();
+        for (const size_t i : pending) {
+            Entry::State was;
+            entries[i] = claim(shards_[shard_of[i]], keys[i], was);
+            if (was == Entry::State::Empty)
+                owned.push_back(i);
+            else if (was == Entry::State::Computing)
+                waiting.push_back(i);
+            else
+                hit(i);
+        }
+
+        if (!owned.empty()) {
+            try {
+                search(owned, slots);
+            } catch (...) {
+                for (const size_t i : owned)
+                    slots[i].error = std::current_exception();
+            }
+            for (const size_t i : owned) {
+                const bool failed = slots[i].error != nullptr;
+                finish(shards_[shard_of[i]], *entries[i],
+                       failed ? nullptr : &slots[i].value);
+                if (!failed)
+                    count(shard_of[i], false);
+            }
+        }
+
+        pending.clear();
+        for (const size_t i : waiting) {
+            if (await(shards_[shard_of[i]], *entries[i]))
+                hit(i);
+            else
+                pending.push_back(i);
         }
     }
-    CacheMetrics &cm = cacheMetrics();
-    (computed ? cm.misses : cm.hits)->add();
-    (computed ? cm.shardMisses : cm.shardHits)[shard_idx]->add();
-    (computed ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
-    if (was_hit)
-        *was_hit = !computed;
-    return entry->value;
 }
 
 void
@@ -215,7 +327,8 @@ MappingCache::evictLocked(Shard &shard)
     while (shard.bytes > share && it != shard.lru.begin()) {
         --it;
         auto slot = shard.map.find(*it);
-        if (slot == shard.map.end() || !slot->second->published)
+        if (slot == shard.map.end() ||
+            slot->second->state != Entry::State::Ready)
             continue; // still being computed (or stale); skip
         shard.map.erase(slot);
         it = shard.lru.erase(it);
@@ -235,6 +348,19 @@ MappingCache::setCapacity(int64_t max_bytes)
             std::lock_guard<std::mutex> lock(shard.m);
             evictLocked(shard);
         }
+    }
+}
+
+void
+MappingCache::releaseShard(size_t shard)
+{
+    decltype(Shard::map) map;
+    decltype(Shard::lru) lru;
+    {
+        std::lock_guard<std::mutex> lock(shards_[shard].m);
+        map.swap(shards_[shard].map);
+        lru.swap(shards_[shard].lru);
+        shards_[shard].bytes = 0;
     }
 }
 

@@ -40,14 +40,17 @@
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "arch/config.hpp"
 #include "mapper/search.hpp"
@@ -111,6 +114,36 @@ class MappingCache
         const std::function<std::optional<MappingChoice>()> &search,
         bool *was_hit = nullptr);
 
+    /** One key's outcome in lookupOrComputeBatch(). */
+    struct BatchSlot
+    {
+        std::optional<MappingChoice> value;
+        bool hit = false;         //!< served without running a search
+        std::exception_ptr error; //!< what the key's search threw
+    };
+
+    /** Fills slots[i].value (or slots[i].error) for every index in
+     *  @p missing, all in one call. */
+    using BatchSearch = std::function<void(
+        const std::vector<size_t> &missing, std::vector<BatchSlot> &slots)>;
+
+    /**
+     * lookupOrCompute() for several keys at once (the capacity-batched
+     * sweep looks up one layer shape for every buffer-size variant of
+     * a configuration group).  Every key that is neither resident nor
+     * being computed by another caller is claimed, and all claimed
+     * keys go into ONE call of @p search; keys another caller holds
+     * are awaited afterwards.  The per-key contract is lookupOrCompute()'s:
+     * each key is searched at most once while resident, the claimant
+     * counts a miss and everyone else a hit, and a key whose search
+     * threw is not latched (its error lands in its slot; a waiter on
+     * it claims and searches it again).  @p slots is resized to
+     * keys.size(), slot i answering keys[i].
+     */
+    void lookupOrComputeBatch(const std::vector<Key> &keys,
+                              const BatchSearch &search,
+                              std::vector<BatchSlot> &slots);
+
     /**
      * Warm-start lookup: the winning mapping of some *published*
      * deterministic-mode entry with the same layer shape, technology
@@ -136,6 +169,12 @@ class MappingCache
     {
         return capacityBytes_.load(std::memory_order_relaxed);
     }
+
+    /** Drop every entry of shard @p shard (< kShards), freeing its
+     *  memory on the calling thread.  Must not race with lookups of
+     *  that shard's keys; a cache being discarded can release its
+     *  shards on several threads at once. */
+    void releaseShard(size_t shard);
 
     /** Number of distinct keys currently cached. */
     size_t size() const;
@@ -169,10 +208,17 @@ class MappingCache
   private:
     struct Entry
     {
-        std::once_flag once;
-        std::optional<MappingChoice> value;
-        bool published = false;      //!< set under the shard lock after
-                                     //!< the search finished
+        /** Guarded by the shard mutex.  Empty entries are free to
+         *  claim (fresh, or their search threw); only Ready ones are
+         *  published and evictable. */
+        enum class State
+        {
+            Empty,
+            Computing,
+            Ready,
+        };
+        State state = State::Empty;
+        std::optional<MappingChoice> value; //!< immutable once Ready
         std::list<Key>::iterator lruIt; //!< position in the shard LRU
     };
 
@@ -184,6 +230,7 @@ class MappingCache
     struct Shard
     {
         mutable std::mutex m;
+        std::condition_variable ready; //!< an entry left Computing
         std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash> map;
         std::list<Key> lru; //!< most-recently-used first
         int64_t bytes = 0;  //!< published entries * kEntryBytes
@@ -192,6 +239,24 @@ class MappingCache
     /** Drop published tail entries until @p shard fits its share of
      *  the cap.  Caller holds the shard lock. */
     void evictLocked(Shard &shard);
+
+    /** Find or create @p key's entry and touch it; @p was gets its
+     *  prior state.  An Empty entry is now Computing and the caller
+     *  owns its search. */
+    std::shared_ptr<Entry> claim(Shard &shard, const Key &key,
+                                 Entry::State &was);
+
+    /** End an owned search: publish @p value, or (null) release the
+     *  entry back to Empty after the search threw. */
+    void finish(Shard &shard, Entry &entry,
+                const std::optional<MappingChoice> *value);
+
+    /** Block while another caller computes @p entry; true when it was
+     *  published, false when its search threw. */
+    bool await(Shard &shard, const Entry &entry);
+
+    /** Count one resolved lookup in the metrics and counters. */
+    void count(size_t shard, bool hit);
 
     std::array<Shard, kShards> shards_;
     std::atomic<int64_t> capacityBytes_{0};

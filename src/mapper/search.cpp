@@ -1,5 +1,6 @@
 #include "mapper/search.hpp"
 
+#include <exception>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -95,111 +96,190 @@ scoreOf(const MappingChoice &c, Objective objective)
                                              : c.edp();
 }
 
-std::optional<MappingChoice>
-pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
+/** One capacity variant's result in a batched layer search. */
+struct VariantPick
+{
+    std::optional<MappingChoice> best;
+    double bestScore = std::numeric_limits<double>::max();
+    std::exception_ptr error; //!< the variant's search threw; it dropped out
+    SearchStats stats;
+};
+
+/**
+ * The search loop, over every capacity variant in @p cfgs at once.
+ * The variants share the compute allocation, O-L1 and A-L1, hence one
+ * candidate block, one set of derived shapes and bound floors, and
+ * one loop nest and footprint ladder per candidate.  Each variant
+ * still runs exactly the serial search it would run alone: fixed
+ * prune blocks, its own incumbent frozen at each block boundary (the
+ * whole block is bounded before any of it is evaluated), its own
+ * bound pricing, and a strict '<' reduction in candidate order.  So
+ * pick v is bit-identical to a search of cfgs[v] alone, counters
+ * included.  A cancellation or fault raised by a variant's block poll
+ * drops that variant only.  @p pool (single-variant searches only)
+ * evaluates each block's survivors in parallel lanes.
+ */
+void
+pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
          const TechnologyModel &tech, const CandidateBlock &candidates,
          Objective objective, const SearchOptions &search,
-         ThreadPool *pool, SearchStats *stats)
+         ThreadPool *pool, std::span<VariantPick> picks)
 {
     NNBATON_TRACE_SCOPE("mapper.pick_best");
-
-    SearchStats local;
-    SearchStats &st = stats ? *stats : local;
+    const size_t nv = cfgs.size();
+    if (pool && nv != 1)
+        panic("pickBest: parallel lanes serve single-variant searches");
     const bool prune = search.boundPruning;
-    int64_t evaluated_here = 0;
-    int64_t pruned_here = 0;
+    const AcceleratorConfig &group = cfgs[0];
 
-    std::optional<MappingChoice> best;
-    double best_score = std::numeric_limits<double>::max();
+    std::vector<double> al2_per_bit(nv), wl1_per_bit(nv);
+    for (size_t v = 0; v < nv; ++v) {
+        al2_per_bit[v] = tech.sramEnergyPerBit(cfgs[v].chiplet.al2Bytes);
+        wl1_per_bit[v] = tech.sramEnergyPerBit(cfgs[v].core.wl1Bytes);
+    }
 
     // The serial lane walks the block in ascending-ordinal order — an
-    // enumeration-neighbour stream — so it evaluates through the
-    // delta-aware incremental analyzer.  The parallel lanes hand out
-    // indices nondeterministically and keep the full evaluation
-    // (results are bit-identical either way, so the serial/parallel
-    // determinism contract is unaffected).
+    // enumeration-neighbour stream — through the incremental
+    // analyzer, preparing each surviving candidate once for all
+    // variants.  The parallel lanes hand out indices
+    // nondeterministically and keep the full evaluation (results are
+    // bit-identical either way).
     std::optional<IncrementalAnalyzer> inc;
     if (!pool)
-        inc.emplace(layer, cfg);
+        inc.emplace(layer, group);
 
     const size_t n = candidates.size();
-    std::vector<MappingChoice> slots(std::min(n, kPruneBlock));
+    std::vector<MappingShapes> shapes(std::min(n, kPruneBlock));
+    std::vector<BoundFloor> floors(shapes.size());
+    std::vector<uint8_t> survives(shapes.size() * nv);
+    std::vector<size_t> live(nv);
+    for (size_t v = 0; v < nv; ++v)
+        live[v] = v;
+    MappingChoice scratch;
+    std::vector<MappingChoice> slots(pool ? shapes.size() : 0);
     std::vector<size_t> survivors;
-    survivors.reserve(kPruneBlock);
 
-    for (size_t base = 0; base < n; base += kPruneBlock) {
-        // Cancellation granularity: one poll per prune block, so a
-        // fired deadline stops even a single huge layer search within
-        // ~kPruneBlock evaluations.  Unwinding here is safe: the
-        // compute-once cache does not latch an entry whose factory
-        // throws, so a later (post-resume) search recomputes it.
-        if (search.cancel && search.cancel->cancelled())
-            throwStatus(search.cancel->toStatus());
-        if (verif::faultPlanArmed())
-            verif::injectSearchBlockFault();
+    for (size_t base = 0; base < n && !live.empty(); base += kPruneBlock) {
+        // Cancellation granularity: one poll per prune block and
+        // variant, so a fired deadline stops even a single huge layer
+        // search within ~kPruneBlock evaluations.  Unwinding is safe:
+        // the compute-once cache does not latch an entry whose search
+        // threw, so a later (post-resume) search recomputes it.
+        size_t kept = 0;
+        for (const size_t v : live) {
+            try {
+                if (search.cancel && search.cancel->cancelled())
+                    throwStatus(search.cancel->toStatus());
+                if (verif::faultPlanArmed())
+                    verif::injectSearchBlockFault();
+                live[kept++] = v;
+            } catch (...) {
+                picks[v].error = std::current_exception();
+            }
+        }
+        live.resize(kept);
+        if (live.empty())
+            break;
 
         const size_t count = std::min(kPruneBlock, n - base);
 
-        // Pruning pass against the block-boundary incumbent.
+        // Pruning pass against each variant's block-boundary
+        // incumbent.  The floor is capacity-independent, so it is
+        // derived once per candidate and priced per variant.
         {
             NNBATON_TRACE_SCOPE("mapper.bound_prune");
+            bool bound = false;
+            for (const size_t v : live)
+                bound = bound || (prune && picks[v].best.has_value());
+            for (size_t i = 0; i < count; ++i) {
+                const Mapping &m = candidates.mapping(base + i);
+                // The serial lane prepares survivors from these shapes.
+                if (bound || !pool)
+                    shapes[i] = deriveShapes(layer, group, m);
+                if (bound)
+                    floors[i] = boundFloor(layer, group, tech, shapes[i],
+                                           m, objective);
+                for (const size_t v : live) {
+                    VariantPick &pick = picks[v];
+                    const bool cut =
+                        prune && pick.best &&
+                        priceBound(floors[i], al2_per_bit[v],
+                                   wl1_per_bit[v], objective) >=
+                            pick.bestScore * kPruneMargin;
+                    pick.stats.pruned += cut;
+                    survives[i * nv + v] = !cut;
+                }
+            }
+        }
+
+        NNBATON_TRACE_SCOPE("mapper.c3p_analysis");
+        if (pool) {
+            // Full evaluation of the survivors in parallel lanes
+            // (indices write disjoint slots), then the deterministic
+            // reduction in candidate order.
             survivors.clear();
             for (size_t i = 0; i < count; ++i) {
-                if (prune && best &&
-                    scoreLowerBound(layer, cfg, tech,
-                                    candidates.mapping(base + i),
-                                    objective) >=
-                        best_score * kPruneMargin) {
-                    ++pruned_here;
+                if (survives[i])
+                    survivors.push_back(i);
+            }
+            pool->parallelFor(
+                static_cast<int64_t>(survivors.size()), [&](int64_t j) {
+                    const size_t i = survivors[static_cast<size_t>(j)];
+                    slots[i] = evaluateMapping(
+                        layer, group, tech, candidates.mapping(base + i));
+                });
+            VariantPick &pick = picks[0];
+            pick.stats.evaluated += static_cast<int64_t>(survivors.size());
+            for (const size_t i : survivors) {
+                const double score = scoreOf(slots[i], objective);
+                if (!pick.best || score < pick.bestScore) {
+                    pick.best = std::move(slots[i]);
+                    pick.bestScore = score;
+                }
+            }
+            continue;
+        }
+
+        // Candidate-major evaluation: prepare a survivor once, then
+        // resolve, price and reduce it for each variant it survived
+        // in (only the W-L1 / A-L2 retention and the counts change
+        // between variants; a winner is copied out).  The bound pass
+        // above already froze every decision of this block, so
+        // reducing as we go equals reducing after it.
+        for (size_t i = 0; i < count; ++i) {
+            bool prepared = false;
+            for (const size_t v : live) {
+                if (!survives[i * nv + v])
                     continue;
+                if (!prepared) {
+                    scratch.mapping = candidates.mapping(base + i);
+                    inc->prepare(scratch.mapping, shapes[i]);
+                    inc->beginInto(scratch.analysis);
+                    prepared = true;
                 }
-                survivors.push_back(i);
-            }
-        }
-
-        // Full evaluation of the survivors, parallel when a pool is
-        // available (indices write disjoint slots; no ordering).
-        {
-            NNBATON_TRACE_SCOPE("mapper.c3p_analysis");
-            if (pool) {
-                pool->parallelFor(
-                    static_cast<int64_t>(survivors.size()),
-                    [&](int64_t j) {
-                        const size_t i =
-                            survivors[static_cast<size_t>(j)];
-                        slots[i] = evaluateMapping(
-                            layer, cfg, tech,
-                            candidates.mapping(base + i));
-                    });
-            } else {
-                for (const size_t i : survivors) {
-                    evaluateMappingIncrementalInto(
-                        layer, cfg, tech, candidates.mapping(base + i),
-                        *inc, slots[i]);
+                const AcceleratorConfig &cfg = cfgs[v];
+                VariantPick &pick = picks[v];
+                inc->resolveInto(cfg, scratch.analysis);
+                scratch.energy =
+                    computeEnergy(scratch.analysis.counts, cfg, tech);
+                scratch.runtime =
+                    estimateRuntime(layer, cfg, scratch.analysis, tech);
+                ++pick.stats.evaluated;
+                // Strict '<' keeps the earliest candidate on score
+                // ties.
+                const double score = scoreOf(scratch, objective);
+                if (!pick.best || score < pick.bestScore) {
+                    pick.best = scratch;
+                    pick.bestScore = score;
                 }
-            }
-        }
-        evaluated_here += static_cast<int64_t>(survivors.size());
-
-        // Deterministic reduction in candidate order; strict '<'
-        // keeps the earliest candidate on score ties, matching the
-        // serial search.
-        for (const size_t i : survivors) {
-            const double score = scoreOf(slots[i], objective);
-            if (!best || score < best_score) {
-                best = std::move(slots[i]);
-                best_score = score;
             }
         }
     }
 
-    st.evaluated += evaluated_here;
-    st.pruned += pruned_here;
-
-    // Mirror the SearchStats work counters into the metrics registry
-    // (totals stay equal by construction) and keep a histogram of how
-    // many candidates the bound killed per search — the pruning
-    // effectiveness distribution.
+    // Mirror the work counters into the metrics registry (totals stay
+    // equal to SearchStats by construction) and keep a histogram of
+    // how many candidates the bound killed per variant search — the
+    // pruning effectiveness distribution.
     static obs::Counter &m_evaluated =
         obs::MetricsRegistry::instance().counter(
             "mapper.candidates.evaluated");
@@ -209,14 +289,31 @@ pickBest(const ConvLayer &layer, const AcceleratorConfig &cfg,
     static obs::Histogram &m_prune_hist =
         obs::MetricsRegistry::instance().histogram(
             "mapper.prune.pruned_per_search");
-    m_evaluated.add(evaluated_here);
-    m_pruned.add(pruned_here);
-    if (prune)
-        m_prune_hist.record(pruned_here);
+    for (const VariantPick &pick : picks) {
+        m_evaluated.add(pick.stats.evaluated);
+        m_pruned.add(pick.stats.pruned);
+        if (prune)
+            m_prune_hist.record(pick.stats.pruned);
+    }
     if (inc)
         mirrorIncrementalMetrics(inc->stats());
+}
 
-    return best;
+/** pickBest() for one configuration; rethrows its poll error. */
+std::optional<MappingChoice>
+pickOne(const ConvLayer &layer, const AcceleratorConfig &cfg,
+        const TechnologyModel &tech, const CandidateBlock &candidates,
+        Objective objective, const SearchOptions &search,
+        ThreadPool *pool, SearchStats *stats)
+{
+    VariantPick pick;
+    pickBest(layer, std::span(&cfg, 1), tech, candidates, objective,
+             search, pool, std::span(&pick, 1));
+    if (pick.error)
+        std::rethrow_exception(pick.error);
+    if (stats)
+        *stats += pick.stats;
+    return std::move(pick.best);
 }
 
 /**
@@ -237,8 +334,8 @@ runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
             NNBATON_TRACE_SCOPE("mapper.candidates");
             enumerateCandidatesInto(layer, cfg, effort, candidates);
         }
-        return pickBest(layer, cfg, tech, candidates, objective,
-                        search, pool, stats);
+        return pickOne(layer, cfg, tech, candidates, objective,
+                       search, pool, stats);
       }
       case SearchMode::Bnb: {
         const CandidateSpace space(layer, cfg, effort);
@@ -252,6 +349,64 @@ runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
       }
     }
     panic("bad SearchMode");
+}
+
+/**
+ * The cache-miss search of one layer for the capacity variants
+ * @p cfgs.  Exhaustive search enumerates the candidates once and runs
+ * pickBest() over every variant whose W-L1 holds a vector step (the
+ * others have no legal candidate at all); the other modes search each
+ * variant on its own, warm-started from @p cache when asked to.
+ */
+void
+searchVariants(const ConvLayer &layer,
+               std::span<const AcceleratorConfig> cfgs,
+               const TechnologyModel &tech, SearchEffort effort,
+               Objective objective, const SearchOptions &search,
+               ThreadPool *pool, MappingCache &cache,
+               std::span<VariantPick> picks)
+{
+    if (search.mode != SearchMode::Exhaustive) {
+        for (size_t v = 0; v < cfgs.size(); ++v) {
+            try {
+                // Warm start (opt-in): seed the B&B incumbent from a
+                // published sibling-config winner for this layer
+                // shape.  Hint only — the winner never changes.
+                std::optional<Mapping> hint;
+                if (search.warmStart && search.mode == SearchMode::Bnb)
+                    hint = cache.findShapeMatch(MappingCache::makeKey(
+                        layer, cfgs[v], tech, effort, objective,
+                        search.mode, search.annealSeed));
+                picks[v].best = runLayerSearch(
+                    layer, cfgs[v], tech, effort, objective, search,
+                    pool, &picks[v].stats, hint ? &*hint : nullptr);
+            } catch (...) {
+                picks[v].error = std::current_exception();
+            }
+        }
+        return;
+    }
+
+    std::vector<AcceleratorConfig> feasible;
+    std::vector<size_t> slot;
+    for (size_t v = 0; v < cfgs.size(); ++v) {
+        if (wl1HoldsVectorStep(cfgs[v])) {
+            feasible.push_back(cfgs[v]);
+            slot.push_back(v);
+        }
+    }
+    if (feasible.empty())
+        return;
+    CandidateBlock candidates;
+    {
+        NNBATON_TRACE_SCOPE("mapper.candidates");
+        enumerateCandidatesInto(layer, feasible[0], effort, candidates);
+    }
+    std::vector<VariantPick> feasible_picks(feasible.size());
+    pickBest(layer, feasible, tech, candidates, objective, search, pool,
+             feasible_picks);
+    for (size_t k = 0; k < slot.size(); ++k)
+        picks[slot[k]] = std::move(feasible_picks[k]);
 }
 
 } // namespace
@@ -288,9 +443,8 @@ searchLayerWithSpatial(const ConvLayer &layer,
     CandidateBlock candidates;
     enumerateCandidatesInto(CandidateSpace(layer, cfg, effort, pkg, chip),
                             candidates);
-    return pickBest(layer, cfg, tech, candidates, objective,
-                    SearchOptions{}, /*pool=*/nullptr,
-                    /*stats=*/nullptr);
+    return pickOne(layer, cfg, tech, candidates, objective,
+                   SearchOptions{}, /*pool=*/nullptr, /*stats=*/nullptr);
 }
 
 ModelMappingResult
@@ -308,10 +462,33 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
          Objective objective, const SearchOptions &search,
          MappingCache *cache)
 {
-    NNBATON_TRACE_SCOPE("mapper.map_model");
+    std::vector<VariantMappingResult> r = mapModelVariants(
+        model, std::span(&cfg, 1), tech, effort, objective, search, cache);
+    if (r[0].error)
+        std::rethrow_exception(r[0].error);
+    return std::move(r[0].mapped);
+}
 
-    ModelMappingResult result;
-    result.cost.modelName = model.name();
+std::vector<VariantMappingResult>
+mapModelVariants(const Model &model,
+                 std::span<const AcceleratorConfig> cfgs,
+                 const TechnologyModel &tech, SearchEffort effort,
+                 Objective objective, const SearchOptions &search,
+                 MappingCache *cache)
+{
+    NNBATON_TRACE_SCOPE("mapper.map_model");
+    for (const AcceleratorConfig &cfg : cfgs) {
+        if (!isCapacityVariant(cfgs[0], cfg)) {
+            throwStatus(errInvalidArgument(
+                "mapModelVariants: %s is not a W-L1 / A-L2 variant of %s",
+                cfg.toString().c_str(), cfgs[0].toString().c_str()));
+        }
+    }
+
+    const size_t nv = cfgs.size();
+    std::vector<VariantMappingResult> results(nv);
+    for (VariantMappingResult &r : results)
+        r.mapped.cost.modelName = model.name();
 
     // Layers with identical shapes (repeated residual blocks) share
     // one search result.  Without an external cache, a private one
@@ -319,61 +496,110 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
     MappingCache private_cache;
     MappingCache &shared = cache ? *cache : private_cache;
 
+    // Intra-layer parallel lanes serve single-configuration searches;
+    // a batch is one serial candidate walk.
     std::unique_ptr<ThreadPool> pool;
-    if (search.threads > 1 && !ThreadPool::inParallelRegion())
+    if (nv == 1 && search.threads > 1 && !ThreadPool::inParallelRegion())
         pool = std::make_unique<ThreadPool>(search.threads);
 
     static obs::Histogram &m_layer_us =
         obs::MetricsRegistry::instance().histogram(
             "mapper.layer_search_us");
 
+    // Variants still mapping; one whose search throws drops out with
+    // its error, as a lone mapModel() would unwind.
+    std::vector<size_t> live(nv);
+    for (size_t v = 0; v < nv; ++v)
+        live[v] = v;
+    std::vector<MappingCache::Key> keys;
+    std::vector<MappingCache::BatchSlot> slots;
+    std::vector<AcceleratorConfig> batch_cfgs;
+    std::vector<VariantPick> picks;
+
     for (const ConvLayer &layer : model.layers()) {
-        if (search.cancel && search.cancel->cancelled())
-            throwStatus(search.cancel->toStatus());
-        const MappingCache::Key key =
-            MappingCache::makeKey(layer, cfg, tech, effort, objective,
-                                  search.mode, search.annealSeed);
+        if (live.empty())
+            break;
+        if (search.cancel && search.cancel->cancelled()) {
+            try {
+                throwStatus(search.cancel->toStatus());
+            } catch (...) {
+                for (const size_t v : live)
+                    results[v].error = std::current_exception();
+            }
+            break;
+        }
+        // Capacity variants' keys differ only in the two sizes.
+        keys.assign(live.size(),
+                    MappingCache::makeKey(layer, cfgs[live[0]], tech,
+                                          effort, objective, search.mode,
+                                          search.annealSeed));
+        for (size_t k = 0; k < live.size(); ++k) {
+            keys[k].wl1Bytes = cfgs[live[k]].core.wl1Bytes;
+            keys[k].al2Bytes = cfgs[live[k]].chiplet.al2Bytes;
+        }
         const uint64_t t0 =
             search.detailedMetrics ? obs::traceNowNs() : 0;
-        bool hit = false;
-        const std::optional<MappingChoice> choice =
-            shared.lookupOrCompute(
-                key,
-                [&] {
-                    // Warm start (opt-in): seed the B&B incumbent from
-                    // a published sibling-config winner for this layer
-                    // shape.  Hint only — the winner never changes.
-                    std::optional<Mapping> hint;
-                    if (search.warmStart &&
-                        search.mode == SearchMode::Bnb)
-                        hint = shared.findShapeMatch(key);
-                    return runLayerSearch(layer, cfg, tech, effort,
-                                          objective, search, pool.get(),
-                                          &result.stats,
-                                          hint ? &*hint : nullptr);
-                },
-                &hit);
-        ++(hit ? result.stats.cacheHits : result.stats.cacheMisses);
-        if (search.detailedMetrics) {
-            m_layer_us.record(static_cast<int64_t>(
-                (obs::traceNowNs() - t0) / 1000));
-        }
+        // Every variant's key is looked up; the misses are searched
+        // together (one enumeration, one ladder per candidate).
+        shared.lookupOrComputeBatch(
+            keys,
+            [&](const std::vector<size_t> &missing,
+                std::vector<MappingCache::BatchSlot> &out) {
+                batch_cfgs.clear();
+                for (const size_t k : missing)
+                    batch_cfgs.push_back(cfgs[live[k]]);
+                picks.assign(missing.size(), VariantPick{});
+                searchVariants(layer, batch_cfgs, tech, effort,
+                               objective, search, pool.get(), shared,
+                               picks);
+                for (size_t j = 0; j < missing.size(); ++j) {
+                    MappingCache::BatchSlot &slot = out[missing[j]];
+                    slot.value = std::move(picks[j].best);
+                    slot.error = picks[j].error;
+                    results[live[missing[j]]].mapped.stats +=
+                        picks[j].stats;
+                }
+            },
+            slots);
+        // One latency record per lookup: the layer's batched wall time
+        // shared evenly by the variants it served.
+        const int64_t layer_us =
+            search.detailedMetrics
+                ? static_cast<int64_t>((obs::traceNowNs() - t0) / 1000 /
+                                       live.size())
+                : 0;
 
-        if (!choice) {
-            // The caller decides whether infeasibility is worth
-            // reporting (the DSE sweeps hit this by design).
-            result.feasible = false;
-            continue;
+        size_t kept = 0;
+        for (size_t k = 0; k < live.size(); ++k) {
+            const size_t v = live[k];
+            ModelMappingResult &result = results[v].mapped;
+            MappingCache::BatchSlot &slot = slots[k];
+            if (slot.error) {
+                results[v].error = slot.error;
+                continue;
+            }
+            live[kept++] = v;
+            ++(slot.hit ? result.stats.cacheHits
+                        : result.stats.cacheMisses);
+            if (search.detailedMetrics)
+                m_layer_us.record(layer_us);
+            if (!slot.value) {
+                // The caller decides whether infeasibility is worth
+                // reporting (the DSE sweeps hit this by design).
+                result.feasible = false;
+                continue;
+            }
+            LayerCost lc;
+            lc.layerName = layer.name;
+            lc.energy = slot.value->energy;
+            lc.cycles = slot.value->runtime.cycles;
+            lc.utilization = slot.value->runtime.utilization;
+            result.cost.add(std::move(lc));
+            result.choices.push_back(std::move(*slot.value));
         }
-        LayerCost lc;
-        lc.layerName = layer.name;
-        lc.energy = choice->energy;
-        lc.cycles = choice->runtime.cycles;
-        lc.utilization = choice->runtime.utilization;
-        result.cost.add(std::move(lc));
-        result.choices.push_back(*choice);
+        live.resize(kept);
     }
-    return result;
+    return results;
 }
 
 } // namespace nnbaton

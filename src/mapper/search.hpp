@@ -9,7 +9,9 @@
 #define NNBATON_MAPPER_SEARCH_HPP
 
 #include <cstdint>
+#include <exception>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -247,13 +249,45 @@ mapModel(const Model &model, const AcceleratorConfig &cfg,
  * non-null the per-layer memoization uses that (thread-safe,
  * cross-design-point) cache instead of a private one, so repeated
  * shapes are searched once per unique (shape, config) across every
- * caller sharing the cache — the DSE sweep's dominant saving.
+ * caller sharing the cache.  A group of one for mapModelVariants().
  */
 ModelMappingResult
 mapModel(const Model &model, const AcceleratorConfig &cfg,
          const TechnologyModel &tech, SearchEffort effort,
          Objective objective, const SearchOptions &search,
          MappingCache *cache = nullptr);
+
+/** One capacity variant's outcome in mapModelVariants(). */
+struct VariantMappingResult
+{
+    ModelMappingResult mapped;
+    /** What this variant's mapping threw (cancellation, an injected
+     *  fault), or null.  The variant stopped at that layer, so
+     *  @ref mapped is partial and must be discarded. */
+    std::exception_ptr error;
+};
+
+/**
+ * mapModel() for every configuration of a capacity group at once: the
+ * @p cfgs must differ at most in their W-L1 and A-L2 sizes
+ * (isCapacityVariant(); StatusError(InvalidArgument) otherwise).
+ *
+ * Layer by layer, every variant's MappingCache::Key is looked up and
+ * the misses are searched together: the candidates are enumerated
+ * once, and each candidate's shapes, bound floor, loop nests and
+ * footprint ladders are derived once.  Each variant then resolves its
+ * retention boundaries on the ladders (c3p/analysis.hpp), prices the
+ * bound and the energy and runtime at its own capacities, and reduces
+ * with its own frozen incumbent.  So result v is bit-identical to
+ * mapModel(model, cfgs[v], ...) on the same cache state — mapping
+ * choices, costs and SearchStats, hits and misses included.
+ */
+std::vector<VariantMappingResult>
+mapModelVariants(const Model &model,
+                 std::span<const AcceleratorConfig> cfgs,
+                 const TechnologyModel &tech, SearchEffort effort,
+                 Objective objective, const SearchOptions &search,
+                 MappingCache *cache = nullptr);
 
 } // namespace nnbaton
 

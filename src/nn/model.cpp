@@ -1,6 +1,7 @@
 #include "nn/model.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "common/status.hpp"
@@ -25,6 +26,15 @@ Model::scaleBatch(int factor)
         throwStatus(errInvalidArgument(
             "model %s: non-positive batch factor %d", name_.c_str(),
             factor));
+    }
+    // Check every product before touching any layer, so an overflow
+    // leaves the model unscaled instead of half-scaled.
+    for (const auto &l : layers_) {
+        if (l.batch > std::numeric_limits<int>::max() / factor) {
+            throwStatus(errInvalidArgument(
+                "model %s: batch %d x %d overflows layer %s",
+                name_.c_str(), l.batch, factor, l.name.c_str()));
+        }
     }
     for (auto &l : layers_) {
         l.batch *= factor;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <string>
 
@@ -16,6 +17,7 @@
 #include "common/parse.hpp"
 #include "common/status.hpp"
 #include "dse/checkpoint.hpp"
+#include "nn/model.hpp"
 #include "nn/parser.hpp"
 
 using namespace nnbaton;
@@ -181,6 +183,42 @@ TEST(ModelFileFuzz, GarbageModelFilesAreStructuredErrors)
         EXPECT_EQ(r.status().code(), StatusCode::InvalidArgument)
             << text;
         std::remove(path.c_str());
+    }
+}
+
+TEST(ModelFuzz, HugeBatchFactorsAreInvalidArgument)
+{
+    // --batch 1000000000 on bert_base: the lowered attention layers
+    // already carry batch 12 (heads), so the product overflows int.
+    // It must be reported as an overflow, never wrap into a bogus
+    // "non-positive batch" or a silently wrong positive one.
+    for (const int factor : {1000000000, 178956971,
+                             std::numeric_limits<int>::max()}) {
+        Model bert = makeBertBase(128);
+        try {
+            bert.scaleBatch(factor);
+            ADD_FAILURE() << "factor " << factor << " was accepted";
+        } catch (const StatusError &e) {
+            EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument);
+            EXPECT_NE(e.status().message().find("overflows"),
+                      std::string::npos)
+                << e.status().message();
+        }
+        // A rejected factor leaves every layer unscaled.
+        EXPECT_EQ(bert.layer("enc1_attn_qkv").batch, 1);
+        EXPECT_EQ(bert.layer("enc1_attn_scores").batch, 12);
+    }
+
+    // The largest factor that still fits is accepted exactly.
+    Model conv("one", 8);
+    conv.addLayer(makeConv("c", 8, 8, 8, 8, 3, 3, 1));
+    conv.scaleBatch(std::numeric_limits<int>::max());
+    EXPECT_EQ(conv.layer("c").batch, std::numeric_limits<int>::max());
+    try {
+        conv.scaleBatch(2);
+        ADD_FAILURE() << "batch INT_MAX x 2 was accepted";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument);
     }
 }
 
