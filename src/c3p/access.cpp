@@ -148,7 +148,7 @@ composeFixedCountsInto(const ConvLayer &layer,
     // on the vector ALU once per output element per pass.
     c.vectorOps = layer.vectorOps();
     // Active lanes share one P-wide activation vector per cycle.
-    c.al1ReadBits += macs * 8 / std::max(1, s.coreTile.co);
+    c.al1ReadBits += mulDivFloor(macs, 8, std::max(1, s.coreTile.co));
 
     // --- outputs: O-L1 (RF) -> O-L2 -> DRAM --------------------------
     // One 24-bit accumulator read-modify-write per vector-MAC result.

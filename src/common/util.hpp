@@ -20,6 +20,17 @@ ceilDiv(int64_t a, int64_t b)
     return (a + b - 1) / b;
 }
 
+/**
+ * floor(a * m / d) for non-negative @p a and positive @p m and @p d,
+ * without forming the product a * m: exact, and free of overflow,
+ * whenever the result and d * m fit in int64.
+ */
+constexpr int64_t
+mulDivFloor(int64_t a, int64_t m, int64_t d)
+{
+    return a / d * m + a % d * m / d;
+}
+
 /** Round @p a up to the next multiple of @p b. */
 constexpr int64_t
 roundUp(int64_t a, int64_t b)

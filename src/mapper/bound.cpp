@@ -120,7 +120,7 @@ boundFloor(const ConvLayer &layer, const AcceleratorConfig &cfg,
     // Integer division mirrors the accounting exactly; rounding up
     // here could push the bound above the true score.
     const double al1_r = static_cast<double>(
-        macs * 8 / std::max(1, s.coreTile.co));
+        mulDivFloor(macs, 8, std::max(1, s.coreTile.co)));
     e.al1 = (al1_w + al1_r) * tech.sramEnergyPerBit(cfg.core.al1Bytes);
 
     // W-L1 writes: every weight enters some pool at least once; a
@@ -263,7 +263,7 @@ subtreeScoreLowerBound(const ConvLayer &layer,
     const double al1_w = core_act_min * nc * np;
     const int co_max =
         std::max(1, std::min<int>(cfg.core.lanes, cm_max.co));
-    const double al1_r = static_cast<double>(macs * 8 / co_max);
+    const double al1_r = static_cast<double>(mulDivFloor(macs, 8, co_max));
     e.al1 = (al1_w + al1_r) * tech.sramEnergyPerBit(cfg.core.al1Bytes);
 
     // W-L1 reads: the trip-count product telescopes to at least one

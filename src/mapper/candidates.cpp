@@ -279,8 +279,7 @@ CandidateSpace::CandidateSpace(const ConvLayer &layer,
 }
 
 std::optional<CandidateSpace::Leaf>
-CandidateSpace::makeLeaf(size_t i, size_t ih, size_t iw, size_t ic,
-                         size_t order) const
+CandidateSpace::makeRung(size_t i, size_t ih, size_t iw, size_t ic) const
 {
     const Subtree &st = subtrees_[i];
     Mapping m;
@@ -295,20 +294,33 @@ CandidateSpace::makeLeaf(size_t i, size_t ih, size_t iw, size_t ic,
         std::min(st.baseC * st.ladderC[ic], st.macro.co)};
     m.hoC = st.hoC;
     m.woC = st.woC;
-    m.pkgOrder = kOrders[order / 2];
-    m.chipOrder = kOrders[order % 2];
+    m.pkgOrder = kOrders[0];
+    m.chipOrder = kOrders[0];
     if (!checkMapping(layer_, cfg_, m).empty())
         return std::nullopt;
     Leaf leaf;
     leaf.mapping = m;
     leaf.ordinal =
         st.firstOrdinal +
-        static_cast<int64_t>(
-            ((ih * st.ladderW.size() + iw) * st.ladderC.size() + ic) *
-                4 +
-            order);
+        static_cast<int64_t>((ih * st.ladderW.size() + iw) *
+                                 st.ladderC.size() +
+                             ic) *
+            kOrderPairs;
     const MappingShapes sh = deriveShapes(layer_, cfg_, m);
     leaf.fullLane = sh.coreMacro.co >= cfg_.core.lanes;
+    return leaf;
+}
+
+std::optional<CandidateSpace::Leaf>
+CandidateSpace::makeLeaf(size_t i, size_t ih, size_t iw, size_t ic,
+                         size_t order) const
+{
+    std::optional<Leaf> leaf = makeRung(i, ih, iw, ic);
+    if (leaf) {
+        leaf->mapping.pkgOrder = kOrders[order / 2];
+        leaf->mapping.chipOrder = kOrders[order % 2];
+        leaf->ordinal += static_cast<int64_t>(order);
+    }
     return leaf;
 }
 
@@ -329,15 +341,24 @@ void
 CandidateSpace::expandInto(size_t i, CandidateBlock &out) const
 {
     out.clear();
+    appendLeaves(i, out);
+}
+
+void
+CandidateSpace::appendLeaves(size_t i, CandidateBlock &out) const
+{
     const Subtree &st = subtrees_[i];
     for (size_t ih = 0; ih < st.ladderH.size(); ++ih) {
         for (size_t iw = 0; iw < st.ladderW.size(); ++iw) {
             for (size_t ic = 0; ic < st.ladderC.size(); ++ic) {
-                for (size_t order = 0; order < 4; ++order) {
-                    if (auto leaf = makeLeaf(i, ih, iw, ic, order)) {
-                        out.push(leaf->mapping, leaf->ordinal,
-                                 leaf->fullLane);
-                    }
+                std::optional<Leaf> rung = makeRung(i, ih, iw, ic);
+                if (!rung)
+                    continue;
+                Mapping &m = rung->mapping;
+                for (int64_t order = 0; order < kOrderPairs; ++order) {
+                    m.pkgOrder = kOrders[order / 2];
+                    m.chipOrder = kOrders[order % 2];
+                    out.push(m, rung->ordinal + order, rung->fullLane);
                 }
             }
         }
@@ -392,14 +413,8 @@ void
 enumerateCandidatesInto(const CandidateSpace &space, CandidateBlock &out)
 {
     out.clear();
-    CandidateBlock scratch;
-    for (size_t i = 0; i < space.size(); ++i) {
-        space.expandInto(i, scratch);
-        for (size_t k = 0; k < scratch.size(); ++k) {
-            out.push(scratch.mapping(k), scratch.ordinal(k),
-                     scratch.fullLane(k));
-        }
-    }
+    for (size_t i = 0; i < space.size(); ++i)
+        space.appendLeaves(i, out);
     // Prefer candidates that fill the lanes; fall back when the layer
     // is too narrow for any to exist.  keepOnly preserves ascending
     // ordinal order, so the block stays an enumeration-neighbour

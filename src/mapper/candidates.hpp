@@ -30,6 +30,24 @@ enum class SearchEffort
 };
 
 /**
+ * Temporal order pairs per chiplet-tile rung: (pkgOrder, chipOrder)
+ * over {ChannelPriority, PlanePriority}, indexed pkgOrder * 2 +
+ * chipOrder.
+ *
+ * A *rung* is one chiplet-tile grid point (subtree, ih, iw, ic) of a
+ * CandidateSpace.  Its kOrderPairs leaves hold the consecutive
+ * ordinals kOrderPairs * r ... kOrderPairs * r + kOrderPairs - 1
+ * (every subtree's firstOrdinal is a multiple of kOrderPairs), and
+ * they differ only in the two loop orders.  Legality (checkMapping()),
+ * the derived shapes, the lane class and the bound floor never read
+ * the orders, so a rung is legal whole or not at all, and
+ * `ordinal / kOrderPairs` names the rung of any enumerated candidate.
+ * Enumeration and the bound pass do their order-free work once per
+ * rung instead of once per leaf.
+ */
+constexpr int64_t kOrderPairs = 4;
+
+/**
  * A batch of enumerated candidates in structure-of-arrays layout: the
  * mappings, their flat-enumeration ordinals and their lane-class flags
  * live in three parallel arrays.  Blocks are reused across refills —
@@ -139,12 +157,12 @@ void enumerateCandidatesInto(const ConvLayer &layer,
  * shares — the per-chiplet macro workload, the tile-ladder bases and
  * rungs — is precomputed so mapper/bound can floor the whole subtree
  * without materialising a single leaf.  Level 2 expands a subtree
- * into *leaves*: the chiplet-tile ladder cross the four temporal
- * order pairs, legality-checked on demand.
+ * into *leaves*: the chiplet-tile ladder rungs (H x W x C) cross the
+ * kOrderPairs temporal order pairs, legality-checked once per rung.
  *
  * Every potential leaf — legal or not — owns a unique *ordinal*, its
  * position in the flat enumeration order (subtree-major, then
- * fh → fw → fc → pkgOrder → chipOrder).  enumerateCandidates() emits
+ * ih → iw → ic → pkgOrder → chipOrder).  enumerateCandidates() emits
  * legal leaves in exactly ascending-ordinal order, so "smallest
  * ordinal wins score ties" reproduces the flat search's first-wins
  * tie-breaking no matter in which order a search visits the tree.
@@ -177,7 +195,7 @@ class CandidateSpace
         {
             return static_cast<int64_t>(ladderH.size()) *
                    static_cast<int64_t>(ladderW.size()) *
-                   static_cast<int64_t>(ladderC.size()) * 4;
+                   static_cast<int64_t>(ladderC.size()) * kOrderPairs;
         }
     };
 
@@ -210,8 +228,8 @@ class CandidateSpace
     void expandInto(size_t i, CandidateBlock &out) const;
 
     /** Materialise one grid coordinate of subtree @p i (indices into
-     *  the ladders, @p order in [0,4) as pkgOrder*2 + chipOrder).
-     *  std::nullopt when the mapping is illegal. */
+     *  the ladders, @p order in [0, kOrderPairs) as pkgOrder*2 +
+     *  chipOrder).  std::nullopt when the mapping is illegal. */
     std::optional<Leaf> makeLeaf(size_t i, size_t ih, size_t iw,
                                  size_t ic, size_t order) const;
 
@@ -221,6 +239,19 @@ class CandidateSpace
     std::optional<Leaf> locate(const Mapping &mapping) const;
 
   private:
+    friend void enumerateCandidatesInto(const CandidateSpace &space,
+                                        CandidateBlock &out);
+
+    /** The order-0 leaf of rung (@p i, @p ih, @p iw, @p ic), legality
+     *  and lane class checked once for the whole rung; std::nullopt
+     *  when the rung is illegal. */
+    std::optional<Leaf> makeRung(size_t i, size_t ih, size_t iw,
+                                 size_t ic) const;
+
+    /** Append subtree @p i's legal leaves to @p out, ascending
+     *  ordinal, rung by rung. */
+    void appendLeaves(size_t i, CandidateBlock &out) const;
+
     const ConvLayer layer_;
     const AcceleratorConfig cfg_;
     std::vector<Subtree> subtrees_;

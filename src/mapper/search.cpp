@@ -108,7 +108,8 @@ struct VariantPick
 /**
  * The search loop, over every capacity variant in @p cfgs at once.
  * The variants share the compute allocation, O-L1 and A-L1, hence one
- * candidate block, one set of derived shapes and bound floors, and
+ * candidate block, one set of derived shapes and one bound floor per
+ * rung (the four loop-order leaves of a chiplet tile share both), and
  * one loop nest and footprint ladder per candidate.  Each variant
  * still runs exactly the serial search it would run alone: fixed
  * prune blocks, its own incumbent frozen at each block boundary (the
@@ -150,8 +151,15 @@ pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
 
     const size_t n = candidates.size();
     std::vector<MappingShapes> shapes(std::min(n, kPruneBlock));
-    std::vector<BoundFloor> floors(shapes.size());
     std::vector<uint8_t> survives(shapes.size() * nv);
+    // The order-free work of the current rung (mapper/candidates.hpp,
+    // kOrderPairs): its shapes and bound floor are derived at its
+    // first leaf and reused by the rest.  Rungs are told apart by
+    // ordinal, so the reuse does not rest on block alignment.
+    int64_t rung = -1;
+    bool rung_floored = false;
+    MappingShapes rung_shapes;
+    BoundFloor rung_floor;
     std::vector<size_t> live(nv);
     for (size_t v = 0; v < nv; ++v)
         live[v] = v;
@@ -184,8 +192,9 @@ pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
         const size_t count = std::min(kPruneBlock, n - base);
 
         // Pruning pass against each variant's block-boundary
-        // incumbent.  The floor is capacity-independent, so it is
-        // derived once per candidate and priced per variant.
+        // incumbent.  The floor is capacity- and order-independent,
+        // so it is derived once per rung and priced per candidate and
+        // variant.
         {
             NNBATON_TRACE_SCOPE("mapper.bound_prune");
             bool bound = false;
@@ -193,17 +202,25 @@ pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
                 bound = bound || (prune && picks[v].best.has_value());
             for (size_t i = 0; i < count; ++i) {
                 const Mapping &m = candidates.mapping(base + i);
+                const int64_t r = candidates.ordinal(base + i) / kOrderPairs;
+                if (r != rung) {
+                    rung = r;
+                    rung_shapes = deriveShapes(layer, group, m);
+                    rung_floored = false;
+                }
+                if (bound && !rung_floored) {
+                    rung_floor = boundFloor(layer, group, tech,
+                                            rung_shapes, m, objective);
+                    rung_floored = true;
+                }
                 // The serial lane prepares survivors from these shapes.
-                if (bound || !pool)
-                    shapes[i] = deriveShapes(layer, group, m);
-                if (bound)
-                    floors[i] = boundFloor(layer, group, tech, shapes[i],
-                                           m, objective);
+                if (!pool)
+                    shapes[i] = rung_shapes;
                 for (const size_t v : live) {
                     VariantPick &pick = picks[v];
                     const bool cut =
                         prune && pick.best &&
-                        priceBound(floors[i], al2_per_bit[v],
+                        priceBound(rung_floor, al2_per_bit[v],
                                    wl1_per_bit[v], objective) >=
                             pick.bestScore * kPruneMargin;
                     pick.stats.pruned += cut;

@@ -1,9 +1,28 @@
 #include "nn/layer.hpp"
 
+#include <initializer_list>
+#include <limits>
+
 #include "common/logging.hpp"
 #include "common/status.hpp"
 
 namespace nnbaton {
+
+namespace {
+
+/** True when the product of @p factors fits in int64_t. */
+bool
+productFits(std::initializer_list<int64_t> factors)
+{
+    int64_t product = 1;
+    for (const int64_t f : factors) {
+        if (__builtin_mul_overflow(product, f, &product))
+            return false;
+    }
+    return true;
+}
+
+} // namespace
 
 LayerKind
 ConvLayer::kind() const
@@ -52,6 +71,35 @@ ConvLayer::validate() const
             "groups=%d ci=%d co=%d",
             name.c_str(), groups, ci, co));
     }
+    // Every extent is positive from here on, so the checks below only
+    // need to catch overflow: the input-cube edges are ints, and the
+    // tensor volumes, MACs and vector passes are int64 products that
+    // every later stage builds on.
+    constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+    const int64_t hi64 = static_cast<int64_t>(ho - 1) * stride + kh;
+    const int64_t wi64 = static_cast<int64_t>(wo - 1) * stride + kw;
+    if (hi64 > kIntMax || wi64 > kIntMax) {
+        throwStatus(errInvalidArgument(
+            "layer %s: input extent %lld x %lld overflows int "
+            "(ho=%d wo=%d k=%dx%d s=%d)",
+            name.c_str(), static_cast<long long>(hi64),
+            static_cast<long long>(wi64), ho, wo, kh, kw, stride));
+    }
+    const auto require = [&](const char *what,
+                             std::initializer_list<int64_t> factors) {
+        if (!productFits(factors)) {
+            throwStatus(errInvalidArgument(
+                "layer %s: %s overflows int64 (batch=%d ho=%d wo=%d "
+                "co=%d ci=%d k=%dx%d)",
+                name.c_str(), what, batch, ho, wo, co, ci, kh, kw));
+        }
+    };
+    const int64_t cpg = ciPerGroup();
+    require("MAC count", {batch, ho, wo, co, cpg, kh, kw});
+    require("input volume", {batch, hi64, wi64, ci});
+    require("weight volume", {kh, kw, cpg, co});
+    require("output volume", {batch, ho, wo, co});
+    require("vector-op count", {batch, ho, wo, co, postOps});
     if (op == LayerOp::Gemm) {
         if (static_cast<int64_t>(ho) * wo != gemmM || gemmN != co ||
             gemmK != ci || kh != 1 || kw != 1 || stride != 1 ||

@@ -27,19 +27,20 @@ Model::scaleBatch(int factor)
             "model %s: non-positive batch factor %d", name_.c_str(),
             factor));
     }
-    // Check every product before touching any layer, so an overflow
-    // leaves the model unscaled instead of half-scaled.
-    for (const auto &l : layers_) {
+    // Scale and validate a copy, so an overflow (of the batch itself
+    // or of a volume it multiplies) leaves the model unscaled instead
+    // of half-scaled.
+    std::vector<ConvLayer> scaled = layers_;
+    for (auto &l : scaled) {
         if (l.batch > std::numeric_limits<int>::max() / factor) {
             throwStatus(errInvalidArgument(
                 "model %s: batch %d x %d overflows layer %s",
                 name_.c_str(), l.batch, factor, l.name.c_str()));
         }
-    }
-    for (auto &l : layers_) {
         l.batch *= factor;
         l.validate();
     }
+    layers_ = std::move(scaled);
 }
 
 int64_t

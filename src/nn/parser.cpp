@@ -44,15 +44,14 @@ lineError(int line, const std::string &message)
     return "line " + std::to_string(line) + ": " + message;
 }
 
-} // namespace
-
+/** parseModel() minus the layer constructors' errors; @p line_no
+ *  tracks the line being parsed. */
 ParseResult
-parseModel(std::istream &in)
+parseLines(std::istream &in, int &line_no)
 {
     ParseResult result;
     std::optional<Model> model;
     std::string line;
-    int line_no = 0;
     int batch = 1; // current batch; applies to subsequent layers
 
     while (std::getline(in, line)) {
@@ -208,6 +207,22 @@ parseModel(std::istream &in)
     }
     result.model = std::move(model);
     return result;
+}
+
+} // namespace
+
+ParseResult
+parseModel(std::istream &in)
+{
+    int line_no = 0;
+    try {
+        return parseLines(in, line_no);
+    } catch (const StatusError &e) {
+        // A layer constructor rejected the shape (e.g. an overflow).
+        ParseResult result;
+        result.error = lineError(line_no, e.status().message());
+        return result;
+    }
 }
 
 ParseResult

@@ -153,7 +153,7 @@ evaluateSimba(const ConvLayer &layer, const AcceleratorConfig &cfg,
     c.al2WriteBits += al2.fillBytes * 8 * np;
     c.al2ReadBits += al1.fillBytes * 8 * m.chipRows * np;
     c.al1WriteBits += al1.fillBytes * 8 * nc * np;
-    c.al1ReadBits += macs * 8 / std::max(1, lane_active);
+    c.al1ReadBits += mulDivFloor(macs, 8, std::max(1, lane_active));
 
     // Partial sums: 24-bit hops down the rows (NoC) and across the
     // chiplet rows (NoP), once per output element per temporal

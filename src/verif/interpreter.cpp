@@ -159,11 +159,14 @@ struct Walker
     const ConvLayer &layer;
     Linearizer lin;
     int64_t capacity;
+    const CancelToken *cancel;
     ReferenceResult result;
 
     void
     visit(size_t level, Offsets off)
     {
+        if (cancel && cancel->cancelled())
+            throwStatus(cancel->toStatus());
         const TileSpan span = nest.spanBelow(level);
         if (footprintBytes(tensor, span, layer) <= capacity) {
             // Retain this whole subtree: measure its unique touches.
@@ -220,7 +223,7 @@ makeLinearizer(Tensor tensor, const TileSpan &full, const ConvLayer &layer)
 
 ReferenceResult
 referenceFills(const LoopNest &nest, Tensor tensor, const ConvLayer &layer,
-               int64_t capacity_bytes)
+               int64_t capacity_bytes, const CancelToken *cancel)
 {
     if (capacity_bytes <= 0) {
         throwStatus(errInvalidArgument(
@@ -237,7 +240,7 @@ referenceFills(const LoopNest &nest, Tensor tensor, const ConvLayer &layer,
             "%s (nest %s)", lin.status().message().c_str(),
             nest.toString().c_str()));
     }
-    Walker w{nest, tensor, layer, lin.value(), capacity_bytes, {}};
+    Walker w{nest, tensor, layer, lin.value(), capacity_bytes, cancel, {}};
     w.visit(0, Offsets{});
     return w.result;
 }

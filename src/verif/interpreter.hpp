@@ -22,6 +22,7 @@
 #include <cstdint>
 
 #include "c3p/footprint.hpp"
+#include "common/cancel.hpp"
 #include "dataflow/loopnest.hpp"
 #include "nn/layer.hpp"
 
@@ -36,11 +37,14 @@ struct ReferenceResult
 
 /**
  * Replay @p nest for @p tensor with a buffer of @p capacity_bytes and
- * measure fill traffic by coordinate enumeration.
+ * measure fill traffic by coordinate enumeration.  @p cancel (may be
+ * null) is polled at every subtree the walk visits; once it fires the
+ * walk unwinds with its status.
  */
 ReferenceResult referenceFills(const LoopNest &nest, Tensor tensor,
                                const ConvLayer &layer,
-                               int64_t capacity_bytes);
+                               int64_t capacity_bytes,
+                               const CancelToken *cancel = nullptr);
 
 } // namespace nnbaton
 

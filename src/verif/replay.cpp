@@ -71,7 +71,7 @@ countIssuesPerTile(const ConvLayer &layer, const AcceleratorConfig &cfg,
 ReplayResult
 replayMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
               const TechnologyModel &tech, const Mapping &mapping,
-              const AnalysisOptions &options)
+              const AnalysisOptions &options, const CancelToken *cancel)
 {
     NNBATON_TRACE_SCOPE("verif.replay");
     static obs::Counter &replays =
@@ -102,12 +102,13 @@ replayMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
     const int64_t wl1_capacity =
         cfg.core.wl1Bytes * (options.wl1Pooling ? pw : 1);
     const ReferenceResult wl1 = referenceFills(
-        nests.perCore, Tensor::Weights, layer, wl1_capacity);
-    const ReferenceResult al1 = referenceFills(
-        nests.perCore, Tensor::Activations, layer, cfg.core.al1Bytes);
+        nests.perCore, Tensor::Weights, layer, wl1_capacity, cancel);
+    const ReferenceResult al1 =
+        referenceFills(nests.perCore, Tensor::Activations, layer,
+                       cfg.core.al1Bytes, cancel);
     const ReferenceResult al2 =
         referenceFills(nests.perChiplet, Tensor::Activations, layer,
-                       cfg.chiplet.al2Bytes);
+                       cfg.chiplet.al2Bytes, cancel);
     r.wl1 = {wl1.fillBytes, wl1.retainedTiles};
     r.al1 = {al1.fillBytes, al1.retainedTiles};
     r.al2 = {al2.fillBytes, al2.retainedTiles};
@@ -129,11 +130,14 @@ replayMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
     for (int bt = 0; bt < s.batchTrips; ++bt)
         for (int a = 0; a < pkg[0]; ++a)
             for (int b = 0; b < pkg[1]; ++b)
-                for (int c = 0; c < pkg[2]; ++c)
+                for (int c = 0; c < pkg[2]; ++c) {
+                    if (cancel && cancel->cancelled())
+                        throwStatus(cancel->toStatus());
                     for (int d = 0; d < chip[0]; ++d)
                         for (int e = 0; e < chip[1]; ++e)
                             for (int f = 0; f < chip[2]; ++f)
                                 ++r.tilesWalked;
+                }
 
     // --- access composition over the measured fills ------------------
     // The tensor the package spatial primitive shares rotates over the
@@ -184,7 +188,7 @@ replayMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
                          layer.wo * layer.co * layer.ciPerGroup() *
                          layer.kh * layer.kw;
     c.macOps = macs;
-    c.al1ReadBits = macs * 8 / std::max(1, s.coreTile.co);
+    c.al1ReadBits = mulDivFloor(macs, 8, std::max(1, s.coreTile.co));
 
     // Outputs: one 24-bit accumulation per vector-MAC result, one
     // requantisation drain, exactly one externalised output copy.
@@ -238,10 +242,11 @@ DifferentialReport::toString() const
 DifferentialReport
 diffMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
             const TechnologyModel &tech, const Mapping &mapping,
-            const AnalysisOptions &options)
+            const AnalysisOptions &options, const CancelToken *cancel)
 {
     DifferentialReport report;
-    report.replay = replayMapping(layer, cfg, tech, mapping, options);
+    report.replay =
+        replayMapping(layer, cfg, tech, mapping, options, cancel);
     const MappingChoice choice =
         evaluateMapping(layer, cfg, tech, mapping, options);
 

@@ -27,6 +27,7 @@
 
 #include "arch/config.hpp"
 #include "c3p/access.hpp"
+#include "common/cancel.hpp"
 #include "cost/energy.hpp"
 #include "dataflow/mapping.hpp"
 #include "nn/layer.hpp"
@@ -60,12 +61,17 @@ struct ReplayResult
 /**
  * Replay @p mapping end to end.  The mapping must pass checkMapping();
  * throws StatusError otherwise (same contract as analyzeMapping()).
+ * @p cancel (may be null) is polled once per chiplet-tile trip of the
+ * schedule walk and per visited subtree of the fill measurements
+ * (referenceFills()); once it fires the replay unwinds with its
+ * status, so a deadline or SIGTERM stops even a huge layer.
  */
 ReplayResult replayMapping(const ConvLayer &layer,
                            const AcceleratorConfig &cfg,
                            const TechnologyModel &tech,
                            const Mapping &mapping,
-                           const AnalysisOptions &options = {});
+                           const AnalysisOptions &options = {},
+                           const CancelToken *cancel = nullptr);
 
 /** One analytical-vs-replay field mismatch. */
 struct FieldDiff
@@ -90,13 +96,15 @@ struct DifferentialReport
 /**
  * Run both engines on (layer, cfg, mapping) and compare every access
  * count, the cycle counts and the energy total bit-for-bit.  Bumps
- * the obs counters verif.replays / verif.mismatches.
+ * the obs counters verif.replays / verif.mismatches.  The replay
+ * polls @p cancel as replayMapping() does.
  */
 DifferentialReport diffMapping(const ConvLayer &layer,
                                const AcceleratorConfig &cfg,
                                const TechnologyModel &tech,
                                const Mapping &mapping,
-                               const AnalysisOptions &options = {});
+                               const AnalysisOptions &options = {},
+                               const CancelToken *cancel = nullptr);
 
 } // namespace nnbaton
 

@@ -30,6 +30,21 @@ TEST(RoundUp, MultiplesAndRemainders)
     EXPECT_EQ(roundUp(1, 8), 8);
 }
 
+TEST(MulDivFloor, MatchesTheProductFormAndSurvivesHugeOperands)
+{
+    for (int64_t a : {0LL, 1LL, 7LL, 8LL, 1000003LL, 123456789012LL}) {
+        for (int64_t d : {1, 3, 8, 16, 1000}) {
+            EXPECT_EQ(mulDivFloor(a, 8, d), a * 8 / d) << a << " " << d;
+            EXPECT_EQ(mulDivFloor(a, 24, d), a * 24 / d) << a << " " << d;
+        }
+    }
+    // 100000 x 100000 x 4096 x 4096 x 9 MACs: macs * 8 overflows
+    // int64, the quotient does not.
+    const int64_t macs = 1509949440000000000;
+    EXPECT_EQ(mulDivFloor(macs, 8, 16), macs / 2);
+    EXPECT_EQ(mulDivFloor(macs + 1, 8, 16), macs / 2);
+}
+
 TEST(IsPow2, Values)
 {
     EXPECT_TRUE(isPow2(1));

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <random>
 #include <string>
@@ -220,6 +221,68 @@ TEST(ModelFuzz, HugeBatchFactorsAreInvalidArgument)
     } catch (const StatusError &e) {
         EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument);
     }
+}
+
+TEST(ModelFuzz, HugeShapesAreInvalidArgument)
+{
+    // Each layer's input edge or one of its int64 volumes overflows.
+    // It must be rejected up front as INVALID_ARGUMENT naming the
+    // overflow, never reach the mapper (where the wrapped extents
+    // crashed post with SIGFPE) or wrap silently.
+    constexpr int kBig = 1 << 30;
+    const auto expectOverflow = [](const std::function<void()> &make,
+                                   const char *what) {
+        try {
+            make();
+            ADD_FAILURE() << what << " was accepted";
+        } catch (const StatusError &e) {
+            EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument)
+                << what;
+            EXPECT_NE(e.status().message().find("overflows"),
+                      std::string::npos)
+                << what << ": " << e.status().message();
+        }
+    };
+    expectOverflow(
+        [&] { makeConv("c1", kBig, kBig, kBig, kBig, 3, 3, 2); },
+        "input edge (ho 2^30, stride 2)");
+    expectOverflow(
+        [] { makeConv("c2", 1 << 16, 1 << 16, 1 << 16, 1 << 16, 3, 3, 1); },
+        "MACs 65536^4 x 9");
+    expectOverflow(
+        [] { makeConv("c3", 2, 2, 1, 1024, 1, 1, 1 << 29); },
+        "input volume (stride 2^29)");
+    expectOverflow(
+        [] { makeConv("c4", 1, 1, 1 << 16, 1 << 16, 1 << 16, 1 << 16, 1); },
+        "weights and MACs 2^64");
+    expectOverflow(
+        [] { makeDepthwiseConv("d1", kBig, kBig, kBig, 3, 1); },
+        "depthwise MACs 2^90 x 9");
+    expectOverflow(
+        [] { makeGemm("g1", kBig, kBig, 1, 1, kBig); },
+        "vector ops 2^30 x 2^30 x 2^30");
+
+    // The same shapes in a model file are a structured parse error.
+    const std::string path = tmpFile(
+        "fuzz_huge.nn",
+        "model huge 224\n"
+        "conv c1 1073741824 1073741824 1073741824 1073741824 3 3 2\n");
+    const StatusOr<Model> r = loadModelFile(path);
+    EXPECT_EQ(r.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(r.status().message().find("overflows"), std::string::npos)
+        << r.status().message();
+    std::remove(path.c_str());
+
+    // A batch factor that keeps the batch an int but pushes a volume
+    // past int64 is rejected too, leaving the model unscaled.
+    Model wide("wide", 8);
+    wide.addLayer(makeConv("w", 1 << 16, 1 << 16, 1 << 12, 1 << 12, 1, 1, 1));
+    expectOverflow([&] { wide.scaleBatch(1 << 20); }, "batch x MACs");
+    EXPECT_EQ(wide.layer("w").batch, 1);
+
+    // The largest shapes that fit are still accepted.
+    const ConvLayer edge = makeConv("e", kBig, 1, 1, 1, 1, 1, 2);
+    EXPECT_EQ(edge.hi(), std::numeric_limits<int>::max());
 }
 
 TEST(CheckpointFuzz, GarbageCheckpointsAreDataLoss)

@@ -450,8 +450,9 @@ runVerify(const Model &model, const PostDesignReport &report,
 
     for (size_t i = 0; i < budget; ++i) {
         const Item &it = items[i];
-        const DifferentialReport diff = diffMapping(
-            *it.layer, args.config, defaultTech(), *it.mapping);
+        const DifferentialReport diff =
+            diffMapping(*it.layer, args.config, defaultTech(),
+                        *it.mapping, {}, &globalCancelToken());
         if (diff.ok()) {
             inform("verified %s against the replay interpreter",
                    it.layer->name.c_str());
@@ -469,7 +470,7 @@ runVerify(const Model &model, const PostDesignReport &report,
         const DiffCase minimal = minimizeFailure(
             failing, [](const DiffCase &c) {
                 return !diffMapping(c.layer, c.cfg, defaultTech(),
-                                    c.mapping)
+                                    c.mapping, {}, &globalCancelToken())
                             .ok();
             });
         std::fprintf(stderr, "minimal reproducer:\n%s",
@@ -493,6 +494,7 @@ runPost(const Args &args)
     search.annealSeed = args.annealSeed;
     search.annealIterations = args.annealIterations;
     search.detailedMetrics = args.metrics;
+    search.cancel = &globalCancelToken();
     PostDesignFlow flow(args.config, defaultTech(),
                         SearchEffort::Exhaustive,
                         args.edpObjective ? Objective::MinEdp
