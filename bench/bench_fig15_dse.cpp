@@ -16,7 +16,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -24,8 +23,6 @@
 #include <string>
 
 #include "baton/baton.hpp"
-#include "c3p/incremental.hpp"
-#include "mapper/candidates.hpp"
 #include "mapper/search.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
@@ -119,15 +116,19 @@ printFigure(int threads)
         "DarkNet@224) (paper section VI-B.2).\n\n");
 }
 
-/** Same sweep classification and bit-identical design points.  This
- *  is what every search mode that promises exhaustive-equivalent
- *  winners must preserve; work counters are checked separately. */
+/** Everything the engine promises to keep thread-count independent:
+ *  the sweep classification, bit-identical design points and the work
+ *  counters. */
 bool
-samePoints(const DseResult &a, const DseResult &b)
+identicalResults(const DseResult &a, const DseResult &b)
 {
     if (a.swept != b.swept || a.areaRejected != b.areaRejected ||
         a.infeasible != b.infeasible ||
-        a.points.size() != b.points.size())
+        a.points.size() != b.points.size() ||
+        a.search.evaluated != b.search.evaluated ||
+        a.search.pruned != b.search.pruned ||
+        a.search.cacheHits != b.search.cacheHits ||
+        a.search.cacheMisses != b.search.cacheMisses)
         return false;
     for (size_t i = 0; i < a.points.size(); ++i) {
         const DesignPoint &p = a.points[i];
@@ -149,141 +150,6 @@ samePoints(const DseResult &a, const DseResult &b)
     return true;
 }
 
-/** Everything the engine promises to keep thread-count independent. */
-bool
-identicalResults(const DseResult &a, const DseResult &b)
-{
-    return samePoints(a, b) &&
-           a.search.evaluated == b.search.evaluated &&
-           a.search.pruned == b.search.pruned &&
-           a.search.cacheHits == b.search.cacheHits &&
-           a.search.cacheMisses == b.search.cacheMisses;
-}
-
-double
-pointsPerSecond(const DseResult &r)
-{
-    return r.elapsedSeconds > 0.0
-               ? static_cast<double>(r.swept) / r.elapsedSeconds
-               : 0.0;
-}
-
-/** One search mode's entry in the BENCH_dse.json "modes" block. */
-void
-writeModeEntry(JsonWriter &j, const char *name, const DseResult &r)
-{
-    j.key(name).beginObject();
-    j.field("seconds", r.elapsedSeconds);
-    j.field("points_per_sec", pointsPerSecond(r));
-    j.field("evaluated", r.search.evaluated);
-    j.field("pruned", r.search.pruned);
-    j.field("nodes_opened", r.search.nodesOpened);
-    j.field("subtrees_pruned", r.search.subtreesPruned);
-    j.field("incumbent_updates", r.search.incumbentUpdates);
-    j.field("refined", r.search.refined);
-    j.field("refined_pruned", r.search.refinedPruned);
-    j.endObject();
-}
-
-/** Timings and reuse counters of the incremental-evaluation
- *  micro-benchmark (the BENCH_dse.json "incremental" block). */
-struct IncrementalBench
-{
-    int64_t candidates = 0;
-    double fullSeconds = 0.0;
-    double incrementalSeconds = 0.0;
-    double deltaHitRatio = 0.0;
-    double fallbackRatio = 0.0;
-    double nestReuseRatio = 0.0;
-    bool winnersIdentical = true;
-
-    double speedup() const
-    {
-        return incrementalSeconds > 0.0
-                   ? fullSeconds / incrementalSeconds
-                   : 0.0;
-    }
-};
-
-/**
- * The incremental evaluator against the full path on the exact
- * candidate streams the serial sweep evaluates: every Sketch-effort
- * candidate of every unique DarkNet@224 layer on the figure's optimal
- * configuration, in enumeration order.  Both paths must pick the same
- * winner per layer with a bit-identical score — the speedup is only
- * worth reporting if the answers cannot drift.
- */
-IncrementalBench
-benchIncremental()
-{
-    const Model model = makeDarkNet19(224);
-    const AcceleratorConfig cfg =
-        makeConfig({2, 8, 16, 16},
-                   MemoryAllocation{96, 32_KB, 144_KB, 128_KB});
-    const TechnologyModel &tech = defaultTech();
-    constexpr int kReps = 5;
-
-    IncrementalBench r;
-    IncrementalStats totals;
-    CandidateBlock block;
-    for (const ConvLayer &layer : model.layers()) {
-        enumerateCandidatesInto(layer, cfg, SearchEffort::Sketch,
-                                block);
-        if (block.empty())
-            continue;
-        r.candidates += static_cast<int64_t>(block.size()) * kReps;
-
-        double best_full = 0.0, best_inc = 0.0;
-        size_t win_full = 0, win_inc = 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int rep = 0; rep < kReps; ++rep) {
-            for (size_t i = 0; i < block.size(); ++i) {
-                const MappingChoice c = evaluateMapping(
-                    layer, cfg, tech, block.mapping(i));
-                const double edp = c.edp();
-                benchmark::DoNotOptimize(edp);
-                if (i == 0 || edp < best_full) {
-                    best_full = edp;
-                    win_full = i;
-                }
-            }
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        MappingChoice c;
-        for (int rep = 0; rep < kReps; ++rep) {
-            IncrementalAnalyzer inc(layer, cfg);
-            for (size_t i = 0; i < block.size(); ++i) {
-                evaluateMappingIncrementalInto(layer, cfg, tech,
-                                               block.mapping(i), inc, c);
-                const double edp = c.edp();
-                benchmark::DoNotOptimize(edp);
-                if (i == 0 || edp < best_inc) {
-                    best_inc = edp;
-                    win_inc = i;
-                }
-            }
-            if (rep == 0) {
-                totals += inc.stats();
-            }
-        }
-        const auto t2 = std::chrono::steady_clock::now();
-        r.fullSeconds +=
-            std::chrono::duration<double>(t1 - t0).count();
-        r.incrementalSeconds +=
-            std::chrono::duration<double>(t2 - t1).count();
-        // Bit-identical winner per layer: same index, same score.
-        if (win_full != win_inc || best_full != best_inc)
-            r.winnersIdentical = false;
-    }
-    r.deltaHitRatio = totals.deltaHitRatio();
-    r.fallbackRatio = totals.fallbackRatio();
-    const int64_t terms = totals.nestReuses + totals.nestScans;
-    r.nestReuseRatio =
-        terms > 0 ? static_cast<double>(totals.nestReuses) / terms
-                  : 0.0;
-    return r;
-}
-
 /**
  * Serial-vs-parallel timing on the DarkNet@224 sweep (the smallest of
  * the three), with the determinism cross-check the parallel engine
@@ -294,13 +160,6 @@ benchSweep(int threads)
 {
     const Model model = makeDarkNet19(224);
     DseOptions opt = figureOptions();
-
-    // The incremental-vs-full micro-benchmark runs first: its passes
-    // are tens of milliseconds, so measuring them after minutes of
-    // all-core sweeps would fold whatever load the machine has
-    // accumulated by then into a 300 ns/candidate signal.  Both of its
-    // passes still share identical conditions.
-    const IncrementalBench inc = benchIncremental();
 
     // The timed serial and parallel sweeps run with tracing disabled
     // (its cost there is one relaxed load per span site), keeping the
@@ -321,25 +180,6 @@ benchSweep(int threads)
                 spans.begin() + static_cast<int64_t>(std::min(
                                     spansBefore, spans.size())));
     const obs::ProfileReport profile = obs::buildProfile(spans);
-
-    // Search-mode shoot-out on the same sweep, both serial so the
-    // points/sec ratio isolates the search strategy itself.  The
-    // branch-and-bound mode must reproduce the exhaustive winners
-    // bit-for-bit while doing far fewer full C3P evaluations.
-    opt.threads = 1;
-    opt.searchMode = SearchMode::Bnb;
-    const DseResult bnb = explore(model, opt, defaultTech());
-    opt.searchMode = SearchMode::Exhaustive;
-    const bool modes_identical = samePoints(serial, bnb);
-    const double eval_ratio =
-        bnb.search.evaluated > 0
-            ? static_cast<double>(serial.search.evaluated) /
-                  static_cast<double>(bnb.search.evaluated)
-            : 0.0;
-    const double pps_ratio =
-        pointsPerSecond(serial) > 0.0
-            ? pointsPerSecond(bnb) / pointsPerSecond(serial)
-            : 0.0;
 
     const bool identical = identicalResults(serial, parallel) &&
                            identicalResults(parallel, traced);
@@ -362,48 +202,6 @@ benchSweep(int threads)
                 traced.elapsedSeconds, 100.0 * trace_overhead);
     std::printf("results bit-identical: %s\n",
                 identical ? "yes" : "NO (BUG)");
-    std::printf("\n=== search modes: exhaustive vs branch-and-bound "
-                "(serial) ===\n");
-    std::printf("exhaustive: %.2f s, %.0f points/s, %lld evaluated\n",
-                serial.elapsedSeconds, pointsPerSecond(serial),
-                static_cast<long long>(serial.search.evaluated));
-    std::printf("bnb:        %.2f s, %.0f points/s, %lld evaluated "
-                "(%lld nodes, %lld subtrees pruned)\n",
-                bnb.elapsedSeconds, pointsPerSecond(bnb),
-                static_cast<long long>(bnb.search.evaluated),
-                static_cast<long long>(bnb.search.nodesOpened),
-                static_cast<long long>(bnb.search.subtreesPruned));
-    std::printf("evaluation ratio: %.1fx fewer, points/sec ratio: "
-                "%.2fx, winners identical: %s\n",
-                eval_ratio, pps_ratio,
-                modes_identical ? "yes" : "NO (BUG)");
-
-    // Incremental evaluator vs the full path on the same candidate
-    // streams (both serial, same enumeration order; measured up top
-    // before the sweeps).
-    const double inc_pps_full =
-        inc.fullSeconds > 0.0
-            ? static_cast<double>(inc.candidates) / inc.fullSeconds
-            : 0.0;
-    const double inc_pps =
-        inc.incrementalSeconds > 0.0
-            ? static_cast<double>(inc.candidates) /
-                  inc.incrementalSeconds
-            : 0.0;
-    std::printf("\n=== incremental C3P evaluation vs full (serial, "
-                "same candidate stream) ===\n");
-    std::printf("full:        %.3f s, %.0f points/s (%lld "
-                "candidates)\n",
-                inc.fullSeconds, inc_pps_full,
-                static_cast<long long>(inc.candidates));
-    std::printf("incremental: %.3f s, %.0f points/s (speedup "
-                "%.2fx)\n",
-                inc.incrementalSeconds, inc_pps, inc.speedup());
-    std::printf("delta hits %.1f%%, fallbacks %.1f%%, nest reuse "
-                "%.1f%%, winners identical: %s\n",
-                100.0 * inc.deltaHitRatio, 100.0 * inc.fallbackRatio,
-                100.0 * inc.nestReuseRatio,
-                inc.winnersIdentical ? "yes" : "NO (BUG)");
     std::printf("%s", obs::formatProfile(profile).c_str());
 
     std::ofstream out("BENCH_dse.json");
@@ -432,25 +230,6 @@ benchSweep(int threads)
     j.field("cache_misses", serial.search.cacheMisses);
     j.field("cache_entries", serial.cacheEntries);
     j.endObject();
-    j.key("modes").beginObject();
-    writeModeEntry(j, "exhaustive", serial);
-    writeModeEntry(j, "bnb", bnb);
-    j.field("winners_identical", modes_identical);
-    j.field("eval_ratio", eval_ratio);
-    j.field("points_per_sec_ratio", pps_ratio);
-    j.endObject();
-    j.key("incremental").beginObject();
-    j.field("candidates", inc.candidates);
-    j.field("full_seconds", inc.fullSeconds);
-    j.field("incremental_seconds", inc.incrementalSeconds);
-    j.field("points_per_sec_full", inc_pps_full);
-    j.field("points_per_sec_incremental", inc_pps);
-    j.field("speedup", inc.speedup());
-    j.field("delta_hit_ratio", inc.deltaHitRatio);
-    j.field("fallback_ratio", inc.fallbackRatio);
-    j.field("nest_reuse_ratio", inc.nestReuseRatio);
-    j.field("winners_identical", inc.winnersIdentical);
-    j.endObject();
     j.key("profile");
     obs::writeProfileJson(j, profile);
     j.endObject();
@@ -478,7 +257,7 @@ int
 main(int argc, char **argv)
 {
     // --sweep-only: just the timed sweeps + BENCH_dse.json (the CI
-    // mode-block check), skipping the figure tables and gbench runs.
+    // bench check), skipping the figure tables and gbench runs.
     bool sweep_only = false;
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--sweep-only")

@@ -3,10 +3,9 @@
  * Transformer workload benchmark: BERT-base (sequence 128) and
  * ViT-B/16 (224x224) mapped end to end on the paper's case-study
  * hardware.  Prints the per-model table (energy with its vector-ALU
- * share, runtime, search counters), cross-checks the exhaustive and
- * branch-and-bound winners on every distinct encoder shape, and
- * writes BENCH_transformer.json for machine consumption (the CI
- * assert step mirrors the BENCH_dse.json pattern).
+ * share, runtime, search counters) and writes BENCH_transformer.json
+ * for machine consumption (the CI assert step mirrors the
+ * BENCH_dse.json pattern).
  */
 
 #include <benchmark/benchmark.h>
@@ -59,45 +58,6 @@ runModel(const Model &model, int batch)
     return run;
 }
 
-/**
- * Exhaustive-vs-bnb shoot-out over the distinct shapes of one BERT
- * encoder: the bound must stay sound on batched GEMMs with a
- * mapping-independent vector-energy term, so the winners have to
- * match bit for bit.
- */
-bool
-checkSearchModes(int64_t *exhaustive_evaluated, int64_t *bnb_evaluated)
-{
-    const Model bert = makeBertBase(128);
-    const AcceleratorConfig cfg = caseStudyConfig();
-    const TechnologyModel &tech = defaultTech();
-    bool identical = true;
-    *exhaustive_evaluated = 0;
-    *bnb_evaluated = 0;
-    for (const char *suffix : {"_attn_qkv", "_attn_scores", "_attn_ctx",
-                               "_attn_proj", "_ffn1", "_ffn2"}) {
-        const ConvLayer &layer =
-            bert.layer("enc1" + std::string(suffix));
-        SearchOptions ex_opt;
-        SearchStats ex_stats;
-        const auto ex =
-            searchLayer(layer, cfg, tech, SearchEffort::Fast,
-                        Objective::MinEnergy, ex_opt, &ex_stats);
-        SearchOptions bnb_opt;
-        bnb_opt.mode = SearchMode::Bnb;
-        SearchStats bnb_stats;
-        const auto bnb =
-            searchLayer(layer, cfg, tech, SearchEffort::Fast,
-                        Objective::MinEnergy, bnb_opt, &bnb_stats);
-        *exhaustive_evaluated += ex_stats.evaluated;
-        *bnb_evaluated += bnb_stats.evaluated;
-        identical = identical && ex.has_value() && bnb.has_value() &&
-                    ex->mapping.toString() == bnb->mapping.toString() &&
-                    ex->energy.total() == bnb->energy.total();
-    }
-    return identical;
-}
-
 void
 writeModelEntry(JsonWriter &j, const ModelRun &run)
 {
@@ -145,16 +105,7 @@ benchTransformers()
     std::printf("\nexpected shape: the vector term is a small, "
                 "nonzero slice (softmax only), weight-bound FFN "
                 "GEMMs dominate energy, and the 12 identical "
-                "encoders turn into cache hits.\n");
-
-    int64_t ex_evals = 0;
-    int64_t bnb_evals = 0;
-    const bool identical = checkSearchModes(&ex_evals, &bnb_evals);
-    std::printf("\nencoder search modes: exhaustive %lld vs bnb %lld "
-                "evaluations, winners identical: %s\n\n",
-                static_cast<long long>(ex_evals),
-                static_cast<long long>(bnb_evals),
-                identical ? "yes" : "NO (BUG)");
+                "encoders turn into cache hits.\n\n");
 
     std::ofstream out("BENCH_transformer.json");
     JsonWriter j(out);
@@ -166,11 +117,6 @@ benchTransformers()
                               : std::string()));
         writeModelEntry(j, run);
     }
-    j.endObject();
-    j.key("search_modes").beginObject();
-    j.field("exhaustive_evaluated", ex_evals);
-    j.field("bnb_evaluated", bnb_evals);
-    j.field("winners_identical", identical);
     j.endObject();
     j.endObject();
     out << "\n";

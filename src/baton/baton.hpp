@@ -56,19 +56,22 @@ struct PostDesignReport
 class PostDesignFlow
 {
   public:
+    /** The last argument is unused: every layer search is one serial
+     *  candidate walk.  perfbench/ still passes a thread count, so the
+     *  parameter stays until that harness drops it. */
     explicit PostDesignFlow(AcceleratorConfig cfg,
                             const TechnologyModel &tech = defaultTech(),
                             SearchEffort effort = SearchEffort::Exhaustive,
                             Objective objective = Objective::MinEnergy,
-                            int threads = 1)
+                            int /*threads*/ = 1)
         : cfg_(std::move(cfg)), tech_(tech), effort_(effort),
           objective_(objective)
     {
-        search_.threads = threads;
         cfg_.validate();
     }
 
-    /** Full execution-options variant (threads, pruning, metrics). */
+    /** Full execution-options variant (pruning, metrics,
+     *  cancellation). */
     PostDesignFlow(AcceleratorConfig cfg, const TechnologyModel &tech,
                    SearchEffort effort, Objective objective,
                    const SearchOptions &search)

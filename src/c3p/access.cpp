@@ -42,15 +42,6 @@ analyzeMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
             layer.name.c_str(), mapping.toString().c_str(),
             reason.c_str()));
     }
-    return analyzeMappingUnchecked(layer, cfg, mapping, options);
-}
-
-AccessAnalysis
-analyzeMappingUnchecked(const ConvLayer &layer,
-                        const AcceleratorConfig &cfg,
-                        const Mapping &mapping,
-                        const AnalysisOptions &options)
-{
     const MappingShapes shapes = deriveShapes(layer, cfg, mapping);
     const NestSet nests = buildNests(layer, cfg, mapping, shapes);
 

@@ -101,21 +101,9 @@ AccessAnalysis analyzeMapping(const ConvLayer &layer,
                               const AnalysisOptions &options = {});
 
 /**
- * analyzeMapping() without the legality gate: the caller vouches that
- * @p mapping passes checkMapping().  The mapping search uses this on
- * enumerated candidates (legal by construction) where the accounting
- * runs once per candidate and the redundant check is measurable
- * (mapper/bound.hpp's refined bound).
- */
-AccessAnalysis analyzeMappingUnchecked(const ConvLayer &layer,
-                                       const AcceleratorConfig &cfg,
-                                       const Mapping &mapping,
-                                       const AnalysisOptions &options = {});
-
-/**
  * The closed-form composition step of the accounting: turn the three
  * buffer reuse analyses plus the derived shapes into whole-package
- * access counts.  analyzeMappingUnchecked() and the incremental
+ * access counts.  analyzeMapping() and the incremental
  * evaluator (c3p/incremental.hpp) both call this one function, so the
  * incremental path is bit-identical to the full one by construction —
  * the only inputs are the (integer-exact) ReuseResults and shapes.

@@ -77,67 +77,6 @@ sameCounts(const AccessCounts &a, const AccessCounts &b)
 
 } // namespace
 
-const char *
-toString(MappingDelta d)
-{
-    switch (d) {
-      case MappingDelta::Prime:
-        return "prime";
-      case MappingDelta::TileFactor:
-        return "tile-factor";
-      case MappingDelta::TileAndOrder:
-        return "tile-and-order";
-      case MappingDelta::LoopOrder:
-        return "loop-order";
-      case MappingDelta::SpatialSplit:
-        return "spatial-split";
-      case MappingDelta::Uncovered:
-        return "uncovered";
-    }
-    panic("bad MappingDelta");
-}
-
-MappingDelta
-classifyMappingDelta(const Mapping &prev, const Mapping &next)
-{
-    // Spatial groups: the three independent spatial-split decisions of
-    // the mapping.  A covered spatial diff changes exactly one group
-    // and nothing else.
-    const bool pkg_group = prev.pkgSpatial != next.pkgSpatial ||
-                           !(prev.pkgSplit == next.pkgSplit);
-    const bool chip_group =
-        prev.chipSpatial != next.chipSpatial ||
-        prev.chipChannelWays != next.chipChannelWays ||
-        !(prev.chipSplit == next.chipSplit);
-    const bool core_group =
-        prev.hoC != next.hoC || prev.woC != next.woC;
-    const int spatial_changes = static_cast<int>(pkg_group) +
-                                static_cast<int>(chip_group) +
-                                static_cast<int>(core_group);
-
-    const int tile_changes =
-        static_cast<int>(prev.chipletTile.ho != next.chipletTile.ho) +
-        static_cast<int>(prev.chipletTile.wo != next.chipletTile.wo) +
-        static_cast<int>(prev.chipletTile.co != next.chipletTile.co);
-
-    const bool order_changed = prev.pkgOrder != next.pkgOrder ||
-                               prev.chipOrder != next.chipOrder;
-
-    if (spatial_changes > 0) {
-        if (spatial_changes == 1 && tile_changes == 0 && !order_changed)
-            return MappingDelta::SpatialSplit;
-        return MappingDelta::Uncovered;
-    }
-    if (tile_changes > 1)
-        return MappingDelta::Uncovered;
-    if (tile_changes == 1)
-        return order_changed ? MappingDelta::TileAndOrder
-                             : MappingDelta::TileFactor;
-    // Order-only diff; an identical mapping lands here too (every
-    // cached term is reusable either way).
-    return MappingDelta::LoopOrder;
-}
-
 const FootprintLadder *
 IncrementalAnalyzer::NestMemo::find(uint64_t hash,
                                     const LoopNest &nest) const
@@ -227,58 +166,13 @@ IncrementalAnalyzer::validate(const Mapping &mapping,
     }
 }
 
-const AccessAnalysis &
-IncrementalAnalyzer::analyze(const Mapping &mapping)
-{
-    analyzeInto(mapping, out_);
-    return out_;
-}
-
-void
-IncrementalAnalyzer::analyzeInto(const Mapping &mapping,
-                                 AccessAnalysis &out)
-{
-    prepare(mapping);
-    beginInto(out);
-    resolveInto(cfg_, out);
-}
-
-void
-IncrementalAnalyzer::prepare(const Mapping &mapping)
-{
-    const MappingDelta delta =
-        hasPrev_ ? classifyMappingDelta(prevMapping_, mapping)
-                 : MappingDelta::Prime;
-
-    // The classification only gates shape reuse.  Everything else —
-    // the rebuilt nests, the memoised ladders, the shared composition
-    // — is sound for any diff, because the memo keys on the exact
-    // nest; a fallback just re-derives the shapes from scratch
-    // instead of carrying them over.
-    if (delta == MappingDelta::Prime ||
-        delta == MappingDelta::Uncovered) {
-        ++stats_.fallbacks;
-        shapes_ = deriveShapes(layer_, cfg_, mapping);
-    } else {
-        ++stats_.deltaHits;
-        if (delta == MappingDelta::LoopOrder) {
-            // deriveShapes() never reads the loop orders, so the
-            // derived shapes carry over verbatim.
-            ++stats_.shapeReuses;
-        } else {
-            shapes_ = deriveShapes(layer_, cfg_, mapping);
-        }
-    }
-    prepare(mapping, shapes_);
-}
-
 void
 IncrementalAnalyzer::prepare(const Mapping &mapping,
                              const MappingShapes &shapes)
 {
     ++stats_.evaluations;
-    if (&shapes != &shapes_)
-        shapes_ = shapes;
+    mapping_ = mapping;
+    shapes_ = shapes;
     buildNestsInto(layer_, cfg_, mapping, shapes_, nests_);
 
     const uint64_t core_hash = nestHash(nests_.perCore);
@@ -289,8 +183,6 @@ IncrementalAnalyzer::prepare(const Mapping &mapping,
                            Tensor::Activations);
     al2Ladder_ = &ladderOf(al2Memo_, nests_.perChiplet, chiplet_hash,
                            Tensor::Activations);
-    prevMapping_ = mapping;
-    hasPrev_ = true;
 }
 
 void
@@ -302,7 +194,7 @@ IncrementalAnalyzer::beginInto(AccessAnalysis &out)
     out.wl1.criticalPoints = wl1Ladder_->criticalPoints;
     out.al2.intrinsicBytes = al2Ladder_->footprint[0];
     out.al2.criticalPoints = al2Ladder_->criticalPoints;
-    composeFixedCountsInto(layer_, cfg_, prevMapping_, options_, out);
+    composeFixedCountsInto(layer_, cfg_, mapping_, options_, out);
     fixedCounts_ = out.counts;
 }
 
@@ -319,20 +211,13 @@ IncrementalAnalyzer::resolveInto(const AcceleratorConfig &cfg,
     // merged into one pool (paper section III-A.2).
     const int64_t wl1_capacity =
         cfg.core.wl1Bytes *
-        (options_.wl1Pooling ? prevMapping_.chipSplit.parts() : 1);
+        (options_.wl1Pooling ? mapping_.chipSplit.parts() : 1);
     wl1Ladder_->resolveFillInto(wl1_capacity, out.wl1);
     al2Ladder_->resolveFillInto(cfg.chiplet.al2Bytes, out.al2);
     out.counts = fixedCounts_;
-    addFillCountsInto(cfg, prevMapping_, options_, out);
+    addFillCountsInto(cfg, mapping_, options_, out);
     if (crossCheck_)
-        validate(prevMapping_, cfg, out);
-}
-
-AccessAnalysis
-analyzeMappingIncremental(IncrementalAnalyzer &state,
-                          const Mapping &mapping)
-{
-    return state.analyze(mapping);
+        validate(mapping_, cfg, out);
 }
 
 void
@@ -341,15 +226,6 @@ mirrorIncrementalMetrics(const IncrementalStats &stats)
     static obs::Counter &m_evals =
         obs::MetricsRegistry::instance().counter(
             "c3p.incremental.evaluations");
-    static obs::Counter &m_hits =
-        obs::MetricsRegistry::instance().counter(
-            "c3p.incremental.delta_hits");
-    static obs::Counter &m_fallbacks =
-        obs::MetricsRegistry::instance().counter(
-            "c3p.incremental.fallbacks");
-    static obs::Counter &m_shape =
-        obs::MetricsRegistry::instance().counter(
-            "c3p.incremental.shape_reuses");
     static obs::Counter &m_nest =
         obs::MetricsRegistry::instance().counter(
             "c3p.incremental.nest_reuses");
@@ -360,9 +236,6 @@ mirrorIncrementalMetrics(const IncrementalStats &stats)
         obs::MetricsRegistry::instance().counter(
             "c3p.incremental.cross_checks");
     m_evals.add(stats.evaluations);
-    m_hits.add(stats.deltaHits);
-    m_fallbacks.add(stats.fallbacks);
-    m_shape.add(stats.shapeReuses);
     m_nest.add(stats.nestReuses);
     m_scan.add(stats.nestScans);
     m_checks.add(stats.crossChecks);

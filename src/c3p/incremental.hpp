@@ -1,39 +1,26 @@
 /**
  * @file
- * Delta-aware incremental C3P evaluation (ROADMAP item 5).
+ * Incremental C3P evaluation of a candidate stream.
  *
- * The mapping search spends nearly all its time re-deriving the full
- * footprint/access algebra for candidates that differ from their
- * enumeration neighbour in a single tile factor or loop position.  The
- * closed-form accounting factors cleanly: the expensive inputs are the
- * three buffer reuse analyses (W-L1, A-L1, A-L2), each a footprint
- * ladder of one loop nest (c3p/analysis.hpp) resolved at the buffer's
- * capacity, and the nests themselves depend only on the derived
- * shapes and the two loop orders.  An IncrementalAnalyzer therefore
- * carries the previous candidate's per-level terms and, for a covered
- * structured diff, rebuilds the nests allocation-free and serves each
- * ladder either from a small hash-guarded exact-match memo keyed on
- * the nest alone or with the linear-time scan; the final composition
- * runs through the same composeAccessAnalysis() as the full path, so
- * results are bit-identical by construction.  Uncovered diffs fall
- * back to re-deriving the shapes and nests from scratch; the memo
- * stays valid across any diff because it keys on the exact nest,
- * never on the classification.
+ * The mapping search spends nearly all its time in the three buffer
+ * reuse analyses (W-L1, A-L1, A-L2).  Each is a footprint ladder of
+ * one loop nest (c3p/analysis.hpp) resolved at the buffer's capacity,
+ * and the nests depend only on the derived shapes and the two loop
+ * orders, so enumeration neighbours keep meeting the same nests.  An
+ * IncrementalAnalyzer rebuilds the nests of each candidate
+ * allocation-free and serves each ladder either from a small
+ * hash-guarded exact-match memo keyed on the nest alone or with the
+ * linear-time scan; the final composition runs through the same
+ * composeAccessAnalysis() code as analyzeMapping(), so results are
+ * bit-identical by construction.
  *
- * The analysis splits into prepare() and beginInto() (shapes, nests,
- * ladders and the fill-independent counts — all capacity-independent)
- * and resolveInto() (one threshold lookup per W-L1 / A-L2 ladder plus
- * the fill counts), so the capacity-batched sweep prepares a candidate
- * once and resolves it for every W-L1 / A-L2 variant of its
- * configuration group.
- *
- * Covered diffs (docs/architecture.md, "Incremental evaluation"):
- *  - one chiplet-tile factor changed (optionally together with loop
- *    orders — the enumeration-wrap neighbour);
- *  - a loop-order swap only (the derived shapes are carried over:
- *    deriveShapes() never reads the orders);
- *  - one spatial-split group changed (package primitive, chiplet
- *    primitive, or the core-tile plane).
+ * The analysis splits into prepare() and beginInto() (nests, ladders
+ * and the fill-independent counts — all capacity-independent) and
+ * resolveInto() (one threshold lookup per W-L1 / A-L2 ladder plus
+ * the fill counts), so the capacity-batched sweep prepares a
+ * candidate once and resolves it for every W-L1 / A-L2 variant of its
+ * configuration group.  The shapes come from the caller, which
+ * derives them once per rung for the bound anyway.
  *
  * Cross-check mode (debug/CI) validates every incremental result
  * against the independent full analysis and aborts on any divergence;
@@ -55,79 +42,24 @@
 
 namespace nnbaton {
 
-/** The structured diff connecting a candidate to its predecessor. */
-enum class MappingDelta
-{
-    Prime,        //!< no predecessor yet (first evaluation)
-    TileFactor,   //!< exactly one chiplet-tile factor changed
-    TileAndOrder, //!< one tile factor plus a loop-order change (the
-                  //!< enumeration-wrap neighbour)
-    LoopOrder,    //!< only pkgOrder / chipOrder changed
-    SpatialSplit, //!< one spatial-split group changed
-    Uncovered,    //!< anything wider; full fallback
-};
-
-const char *toString(MappingDelta d);
-
 /**
- * Classify the diff between two mappings.  The classification only
- * gates which cached terms the analyzer tries to reuse — correctness
- * never depends on it (the memo keys on exact nest equality).
- */
-MappingDelta classifyMappingDelta(const Mapping &prev,
-                                  const Mapping &next);
-
-/**
- * Evaluator-local work counters.  Deliberately NOT part of
- * SearchStats: hit/fallback splits depend on the candidate visit
- * order, which differs between serial and parallel schedules, and
- * SearchStats must stay bit-identical across thread counts.  These
- * are mirrored into the obs metrics registry instead.
+ * Evaluator-local work counters, mirrored into the obs metrics
+ * registry (c3p.incremental.*).  Not part of SearchStats: they
+ * describe the memo, not the search.
  */
 struct IncrementalStats
 {
-    int64_t evaluations = 0; //!< total analyze() calls
-    int64_t deltaHits = 0;   //!< served through the incremental path
-    int64_t fallbacks = 0;   //!< uncovered diffs; shapes re-derived
-    int64_t shapeReuses = 0; //!< derived shapes carried over
+    int64_t evaluations = 0; //!< candidates prepared
     int64_t nestReuses = 0;  //!< buffer terms served from the memo
     int64_t nestScans = 0;   //!< buffer terms recomputed (fast scan)
     int64_t crossChecks = 0; //!< full-analysis validations performed
-
-    double deltaHitRatio() const
-    {
-        return evaluations > 0
-                   ? static_cast<double>(deltaHits) / evaluations
-                   : 0.0;
-    }
-
-    double fallbackRatio() const
-    {
-        return evaluations > 0
-                   ? static_cast<double>(fallbacks) / evaluations
-                   : 0.0;
-    }
-
-    IncrementalStats &operator+=(const IncrementalStats &o)
-    {
-        evaluations += o.evaluations;
-        deltaHits += o.deltaHits;
-        fallbacks += o.fallbacks;
-        shapeReuses += o.shapeReuses;
-        nestReuses += o.nestReuses;
-        nestScans += o.nestScans;
-        crossChecks += o.crossChecks;
-        return *this;
-    }
 };
 
 /**
  * Stateful per-(layer, config) incremental evaluator.  Feed it a
- * candidate stream via analyze(); consecutive enumeration neighbours
- * take the delta path, anything else falls back to the full analysis.
- * Mappings must be legal (checkMapping-clean), exactly like
- * analyzeMappingUnchecked().  Not thread-safe; use one analyzer per
- * serial evaluation lane.
+ * candidate stream via prepare(), beginInto() and resolveInto().
+ * Mappings must be legal (checkMapping-clean), as enumerated
+ * candidates are.  Not thread-safe; use one analyzer per search.
  */
 class IncrementalAnalyzer
 {
@@ -136,29 +68,13 @@ class IncrementalAnalyzer
                         const AcceleratorConfig &cfg,
                         const AnalysisOptions &options = {});
 
-    /** Evaluate one candidate, reusing the predecessor's terms when
-     *  the diff is covered.  Bit-identical to analyzeMapping().  The
-     *  returned reference points at analyzer-owned storage and is
-     *  valid until the next analyze() call. */
-    const AccessAnalysis &analyze(const Mapping &mapping);
-
-    /** analyze() composing straight into caller-owned storage (the
-     *  hot evaluation loops feed the same slot back in, so its vector
-     *  capacity is reused and nothing is copied twice).  Equivalent to
-     *  prepare(mapping), beginInto(out), resolveInto(config, out). */
-    void analyzeInto(const Mapping &mapping, AccessAnalysis &out);
-
     /**
-     * The capacity-independent half of analyzeInto(): derive the
-     * shapes (delta-aware), the nests and the W-L1 / A-L1 / A-L2
-     * footprint ladders of @p mapping.  The prepared candidate stays
+     * The capacity-independent half of the analysis: build the nests
+     * and the W-L1 / A-L1 / A-L2 footprint ladders of @p mapping,
+     * whose derived shapes are @p shapes (they must equal
+     * deriveShapes() of @p mapping).  The prepared candidate stays
      * current until the next prepare().
      */
-    void prepare(const Mapping &mapping);
-
-    /** prepare() with the shapes already derived by the caller (the
-     *  batched search derives them once for the bound); @p shapes
-     *  must equal deriveShapes() of @p mapping. */
     void prepare(const Mapping &mapping, const MappingShapes &shapes);
 
     /**
@@ -229,8 +145,7 @@ class IncrementalAnalyzer
     const AnalysisOptions options_;
     bool crossCheck_ = false;
 
-    bool hasPrev_ = false;
-    Mapping prevMapping_;
+    Mapping mapping_; //!< the prepared candidate
     MappingShapes shapes_;
     NestSet nests_;
     NestMemo wl1Memo_, al1Memo_, al2Memo_;
@@ -240,17 +155,8 @@ class IncrementalAnalyzer
     const FootprintLadder *al1Ladder_ = nullptr;
     const FootprintLadder *al2Ladder_ = nullptr;
     AccessCounts fixedCounts_; //!< composeFixedCountsInto() result
-    AccessAnalysis out_; //!< analyze() result storage (capacity reuse)
     IncrementalStats stats_;
 };
-
-/**
- * The free-function facade over IncrementalAnalyzer::analyze(): the
- * delta-aware counterpart of analyzeMapping(), with @p state carrying
- * the previous candidate's cached per-level terms.
- */
-AccessAnalysis analyzeMappingIncremental(IncrementalAnalyzer &state,
-                                         const Mapping &mapping);
 
 /** Mirror evaluator-local counters into the obs metrics registry
  *  (c3p.incremental.*).  Observation only. */

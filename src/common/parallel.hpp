@@ -3,7 +3,7 @@
  * A minimal thread-pool / parallel-for utility for the sweep engines
  * (no external dependencies, std::thread + an atomic work queue).
  *
- * Design rules, chosen for the DSE and mapping-search callers:
+ * Design rules, chosen for the sweep and serving callers:
  *
  *  - The calling thread participates in the work, so a pool with N
  *    workers runs N + 1 lanes and `ThreadPool(0)` degenerates to a

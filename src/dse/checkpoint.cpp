@@ -245,20 +245,13 @@ designPointKey(const ComputeAllocation &compute,
 std::string
 sweepFingerprint(const Model &model, const DseOptions &options)
 {
-    // The anneal seed only matters when that mode is active; keying
-    // it unconditionally would reject resumes between deterministic
-    // sweeps that merely carried different (unused) seeds.
     return strprintf(
-        "%s|%d|%lld|%.17g|%d|%d|%d|%s|%llu", model.name().c_str(),
+        "%s|%d|%lld|%.17g|%d|%d|%d", model.name().c_str(),
         model.inputResolution(),
         static_cast<long long>(options.totalMacs), options.areaLimitMm2,
         options.proportionalMem ? 1 : 0,
         static_cast<int>(options.effort),
-        static_cast<int>(options.objective),
-        toString(options.searchMode),
-        options.searchMode == SearchMode::Anneal
-            ? static_cast<unsigned long long>(options.annealSeed)
-            : 0ull);
+        static_cast<int>(options.objective));
 }
 
 Status

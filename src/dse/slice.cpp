@@ -44,12 +44,7 @@ SearchOptions
 pointSearchOptions(const DseOptions &options)
 {
     SearchOptions search;
-    search.threads = 1; // point-level parallelism only (nested-free)
     search.boundPruning = options.boundPruning;
-    search.mode = options.searchMode;
-    search.annealSeed = options.annealSeed;
-    search.annealIterations = options.annealIterations;
-    search.warmStart = options.warmStart;
     search.detailedMetrics = options.detailedMetrics;
     search.cancel = options.cancel;
     return search;
@@ -239,12 +234,6 @@ evaluateSweepGroup(const Model &model, const DseOptions &options,
         const SweepTask &task = tasks[static_cast<size_t>(i)];
         try {
             verif::injectPointFault(i);
-            // Branch-and-bound and annealing keep the per-point path.
-            if (options.searchMode != SearchMode::Exhaustive) {
-                out = evaluateSweepPoint(model, options, tech, task,
-                                         cache);
-                continue;
-            }
             NNBATON_TRACE_SCOPE("dse.design_point");
             AcceleratorConfig cfg;
             PreparedPoint point{&task, {}, &out};

@@ -97,8 +97,7 @@ capacityGroups(const std::vector<SweepTask> &tasks, int64_t begin,
  * and a point whose evaluation throws is quarantined (or rethrown
  * under options.strict) without disturbing the others.  The surviving
  * points are mapped together by mapModelVariants(), so each outcome
- * is bit-identical to evaluateSweepPoint() on it.  Branch-and-bound
- * and annealing sweeps map point by point.
+ * is bit-identical to evaluateSweepPoint() on it.
  */
 void evaluateSweepGroup(const Model &model, const DseOptions &options,
                         const TechnologyModel &tech,

@@ -80,13 +80,6 @@ encodeSweepUnitRequest(const std::string &modelText,
     j.field("objective", options.objective == Objective::MinEdp
                              ? "edp"
                              : "energy");
-    j.field("search", nnbaton::toString(options.searchMode));
-    if (options.searchMode == SearchMode::Anneal) {
-        j.field("annealSeed",
-                static_cast<int64_t>(options.annealSeed));
-        j.field("annealIterations",
-                static_cast<int64_t>(options.annealIterations));
-    }
     // The technology anchors travel explicitly so the worker scores
     // under the coordinator's exact model; the fingerprint gate on
     // the worker rejects anything this projection cannot express.
@@ -248,12 +241,6 @@ parseSweepUnitResponse(const std::string &line, const WorkUnit &unit,
         {"pruned", &SearchStats::pruned},
         {"cacheHits", &SearchStats::cacheHits},
         {"cacheMisses", &SearchStats::cacheMisses},
-        {"nodesOpened", &SearchStats::nodesOpened},
-        {"subtreesPruned", &SearchStats::subtreesPruned},
-        {"incumbentUpdates", &SearchStats::incumbentUpdates},
-        {"warmStarts", &SearchStats::warmStarts},
-        {"refined", &SearchStats::refined},
-        {"refinedPruned", &SearchStats::refinedPruned},
     };
     for (const auto &member : kStatMembers) {
         StatusOr<int64_t> v = statInt(*stats, member.name);

@@ -37,7 +37,6 @@
 #include "c3p/access.hpp"
 #include "cost/energy.hpp"
 #include "dataflow/mapping.hpp"
-#include "mapper/candidates.hpp"
 #include "mapper/search.hpp"
 #include "nn/layer.hpp"
 #include "tech/technology.hpp"
@@ -99,55 +98,6 @@ double scoreLowerBound(const ConvLayer &layer,
                        const TechnologyModel &tech,
                        const Mapping &mapping, Objective objective,
                        const AnalysisOptions &options = {});
-
-/**
- * Lower bound on the score of *every* leaf of @p subtree — the
- * branch-level floor the branch-and-bound search prunes whole
- * subtrees with before materialising a single candidate.
- *
- * A subtree fixes the spatial skeleton and the core-tile plane, so
- * the per-chiplet macro workload (and with it the DRAM, ring and MAC
- * terms) is already exact, while the chiplet-tile ladder is still
- * free.  Each ladder-dependent term is replaced by its minimum over
- * the ladder range: activation fills at the largest reachable tile
- * (cold-miss floors shrink as tiles grow), the O-L2 energy-per-bit at
- * the smallest reachable tile (the SRAM fit grows with size), the
- * A-L1 PE-side reads at the widest reachable per-core channel span,
- * and the W-L1 reads at the compulsory one-pass floor.  Every term is
- * <= the corresponding term of scoreLowerBound() for every leaf, so
- * subtreeScoreLowerBound <= min over the subtree's leaves of the
- * exact score (tests/test_fuzz.cpp asserts exactly this).
- */
-double subtreeScoreLowerBound(const ConvLayer &layer,
-                              const AcceleratorConfig &cfg,
-                              const TechnologyModel &tech,
-                              const CandidateSpace::Subtree &subtree,
-                              Objective objective,
-                              const AnalysisOptions &options = {});
-
-/**
- * Tier-2 ("refined") score lower bound: runs the real reuse analyses
- * (analyzeMappingUnchecked — exact fill counts for all three buffers,
- * hence the exact energy), but keeps the runtime floored: the cycle
- * term is max(compute cycles, DRAM traffic / package PHY width, ring
- * traffic / link width) with none of the estimator's per-tile ceils
- * or its pipeline-fill cycle, so the result stays strictly a lower
- * bound of the exact score.
- *
- * This costs roughly two thirds of a full evaluation (it skips the
- * legality check, the energy/runtime report construction and the
- * utilisation model), so the branch-and-bound search only computes it
- * for candidates that already survived the closed-form tier-1 bound,
- * where it prunes the large class of reload-heavy candidates whose
- * traffic the compulsory-miss floors cannot see.  @p mapping must be
- * legal (checkMapping() empty), as enumerated candidates are.
- */
-double refinedScoreLowerBound(const ConvLayer &layer,
-                              const AcceleratorConfig &cfg,
-                              const TechnologyModel &tech,
-                              const Mapping &mapping,
-                              Objective objective,
-                              const AnalysisOptions &options = {});
 
 } // namespace nnbaton
 

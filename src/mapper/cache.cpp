@@ -53,8 +53,7 @@ MappingCache::Key
 MappingCache::makeKey(const ConvLayer &layer,
                       const AcceleratorConfig &cfg,
                       const TechnologyModel &tech, SearchEffort effort,
-                      Objective objective, SearchMode mode,
-                      uint64_t annealSeed)
+                      Objective objective)
 {
     Key k;
     k.ho = layer.ho;
@@ -78,12 +77,6 @@ MappingCache::makeKey(const ConvLayer &layer,
     k.techFingerprint = tech.fingerprint();
     k.effort = static_cast<int>(effort);
     k.objective = static_cast<int>(objective);
-    // Exhaustive and Bnb share entries (bit-identical winners);
-    // Anneal keys separately, per seed.
-    if (mode == SearchMode::Anneal) {
-        k.mode = 1;
-        k.annealSeed = annealSeed;
-    }
     return k;
 }
 
@@ -117,39 +110,7 @@ MappingCache::KeyHash::operator()(const Key &key) const
     mix(key.techFingerprint);
     mix(static_cast<uint64_t>(key.effort) << 32 |
         static_cast<uint32_t>(key.objective));
-    mix(static_cast<uint64_t>(key.mode));
-    mix(key.annealSeed);
     return static_cast<size_t>(h);
-}
-
-std::optional<Mapping>
-MappingCache::findShapeMatch(const Key &key) const
-{
-    NNBATON_TRACE_SCOPE("mapper.cache_shape_match");
-    for (const Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.m);
-        // The LRU list front-to-back gives a deterministic scan order
-        // for a given lookup history (recently used siblings first).
-        for (const Key &k : shard.lru) {
-            if (k.ho != key.ho || k.wo != key.wo || k.co != key.co ||
-                k.ci != key.ci || k.kh != key.kh || k.kw != key.kw ||
-                k.stride != key.stride || k.groups != key.groups ||
-                k.batch != key.batch || k.postOps != key.postOps)
-                continue;
-            if (k.techFingerprint != key.techFingerprint ||
-                k.objective != key.objective || k.mode != 0)
-                continue;
-            if (k == key)
-                continue; // the caller's own key is a plain hit
-            const auto it = shard.map.find(k);
-            if (it == shard.map.end() ||
-                it->second->state != Entry::State::Ready ||
-                !it->second->value)
-                continue;
-            return it->second->value->mapping;
-        }
-    }
-    return std::nullopt;
 }
 
 std::shared_ptr<MappingCache::Entry>

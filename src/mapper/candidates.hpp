@@ -51,11 +51,9 @@ constexpr int64_t kOrderPairs = 4;
  * A batch of enumerated candidates in structure-of-arrays layout: the
  * mappings, their flat-enumeration ordinals and their lane-class flags
  * live in three parallel arrays.  Blocks are reused across refills —
- * clear() keeps the capacity — so a search that expands subtrees one
- * after another pays the candidate-storage allocation once instead of
- * once per subtree (the per-expand vector<Leaf> it replaces).
- * Candidates keep ascending-ordinal (enumeration-neighbour) order,
- * which is what makes the incremental evaluator's delta path hit.
+ * clear() keeps the capacity.  Candidates keep ascending-ordinal
+ * (enumeration-neighbour) order, which is what lets the incremental
+ * evaluator's nest memo hit.
  */
 class CandidateBlock
 {
@@ -148,24 +146,22 @@ void enumerateCandidatesInto(const ConvLayer &layer,
                              SearchEffort effort, CandidateBlock &out);
 
 /**
- * The candidate space as a lazily expanded tree (the generator/cursor
- * behind the branch-and-bound search, docs/search.md).
+ * The candidate space as a two-level grid (docs/architecture.md,
+ * "Candidate space").
  *
  * Level 1 fixes a *subtree*: one spatial skeleton (package and
  * chiplet partition primitives with their planar splits and channel
- * ways) plus one (hoC, woC) core-tile plane.  Everything the subtree
- * shares — the per-chiplet macro workload, the tile-ladder bases and
- * rungs — is precomputed so mapper/bound can floor the whole subtree
- * without materialising a single leaf.  Level 2 expands a subtree
- * into *leaves*: the chiplet-tile ladder rungs (H x W x C) cross the
- * kOrderPairs temporal order pairs, legality-checked once per rung.
+ * ways) plus one (hoC, woC) core-tile plane, with the per-chiplet
+ * macro workload and the tile-ladder bases and rungs it shares.
+ * Level 2 is its *leaves*: the chiplet-tile ladder rungs (H x W x C)
+ * cross the kOrderPairs temporal order pairs, legality-checked once
+ * per rung.
  *
  * Every potential leaf — legal or not — owns a unique *ordinal*, its
  * position in the flat enumeration order (subtree-major, then
  * ih → iw → ic → pkgOrder → chipOrder).  enumerateCandidates() emits
- * legal leaves in exactly ascending-ordinal order, so "smallest
- * ordinal wins score ties" reproduces the flat search's first-wins
- * tie-breaking no matter in which order a search visits the tree.
+ * legal leaves in exactly ascending-ordinal order, so the search's
+ * strict '<' reduction keeps the smallest ordinal on score ties.
  */
 class CandidateSpace
 {
@@ -216,27 +212,11 @@ class CandidateSpace
     size_t size() const { return subtrees_.size(); }
     const Subtree &subtree(size_t i) const { return subtrees_[i]; }
 
-    /** Total grid leaves over all subtrees. */
-    int64_t gridLeaves() const { return gridLeaves_; }
-
-    /** Expand subtree @p i into its legal leaves, ascending ordinal.
-     *  Both lane classes are returned; callers filter. */
-    std::vector<Leaf> expand(size_t i) const;
-
-    /** expand() into a caller-owned block: @p out is cleared and
-     *  refilled in place (capacity retained across calls). */
-    void expandInto(size_t i, CandidateBlock &out) const;
-
     /** Materialise one grid coordinate of subtree @p i (indices into
      *  the ladders, @p order in [0, kOrderPairs) as pkgOrder*2 +
      *  chipOrder).  std::nullopt when the mapping is illegal. */
     std::optional<Leaf> makeLeaf(size_t i, size_t ih, size_t iw,
                                  size_t ic, size_t order) const;
-
-    /** Find @p mapping in the grid (warm-start membership test):
-     *  the leaf with identical mapping fields, or std::nullopt when
-     *  this space never enumerates it. */
-    std::optional<Leaf> locate(const Mapping &mapping) const;
 
   private:
     friend void enumerateCandidatesInto(const CandidateSpace &space,
@@ -255,7 +235,6 @@ class CandidateSpace
     const ConvLayer layer_;
     const AcceleratorConfig cfg_;
     std::vector<Subtree> subtrees_;
-    int64_t gridLeaves_ = 0;
 };
 
 } // namespace nnbaton

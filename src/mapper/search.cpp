@@ -2,35 +2,17 @@
 
 #include <exception>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "c3p/incremental.hpp"
-#include "common/logging.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 #include "common/status.hpp"
 #include "common/trace.hpp"
-#include "mapper/bnb.hpp"
 #include "mapper/bound.hpp"
 #include "mapper/cache.hpp"
 #include "verif/fault.hpp"
 
 namespace nnbaton {
-
-const char *
-toString(SearchMode mode)
-{
-    switch (mode) {
-      case SearchMode::Exhaustive:
-        return "exhaustive";
-      case SearchMode::Bnb:
-        return "bnb";
-      case SearchMode::Anneal:
-        return "anneal";
-    }
-    panic("bad SearchMode");
-}
 
 MappingChoice
 evaluateMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
@@ -45,42 +27,18 @@ evaluateMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
     return choice;
 }
 
-MappingChoice
-evaluateMappingIncremental(const ConvLayer &layer,
-                           const AcceleratorConfig &cfg,
-                           const TechnologyModel &tech,
-                           const Mapping &mapping,
-                           IncrementalAnalyzer &state)
-{
-    MappingChoice choice;
-    evaluateMappingIncrementalInto(layer, cfg, tech, mapping, state,
-                                   choice);
-    return choice;
-}
-
-void
-evaluateMappingIncrementalInto(const ConvLayer &layer,
-                               const AcceleratorConfig &cfg,
-                               const TechnologyModel &tech,
-                               const Mapping &mapping,
-                               IncrementalAnalyzer &state,
-                               MappingChoice &out)
-{
-    out.mapping = mapping;
-    state.analyzeInto(mapping, out.analysis);
-    out.energy = computeEnergy(out.analysis.counts, cfg, tech);
-    out.runtime = estimateRuntime(layer, cfg, out.analysis, tech);
-}
-
 namespace {
 
 /**
  * Candidates are consumed in fixed blocks: pruning decisions use the
- * incumbent frozen at the block boundary, so they depend only on the
- * candidate order — never on the thread count or timing — and the
- * parallel search is bit-identical to the serial one (counters
- * included).  The block size trades pruning strength (incumbent
- * refreshes) against parallel width; it must stay a constant.
+ * incumbent frozen at the block boundary.  The capacity-batched walk
+ * bounds a whole block for every variant before it evaluates any of
+ * it, and a lone search must make the same decisions so that a batch
+ * of one, a batch of many and the per-point path agree counter for
+ * counter.  The pinned evaluated/pruned totals (the fig15 report's
+ * search block, the post-search counter pins) rest on this constant:
+ * pruning against the live incumbent would evaluate fewer candidates
+ * but change them.
  */
 constexpr size_t kPruneBlock = 32;
 
@@ -111,25 +69,22 @@ struct VariantPick
  * candidate block, one set of derived shapes and one bound floor per
  * rung (the four loop-order leaves of a chiplet tile share both), and
  * one loop nest and footprint ladder per candidate.  Each variant
- * still runs exactly the serial search it would run alone: fixed
- * prune blocks, its own incumbent frozen at each block boundary (the
- * whole block is bounded before any of it is evaluated), its own
- * bound pricing, and a strict '<' reduction in candidate order.  So
- * pick v is bit-identical to a search of cfgs[v] alone, counters
- * included.  A cancellation or fault raised by a variant's block poll
- * drops that variant only.  @p pool (single-variant searches only)
- * evaluates each block's survivors in parallel lanes.
+ * still runs exactly the search it would run alone: fixed prune
+ * blocks, its own incumbent frozen at each block boundary (the whole
+ * block is bounded before any of it is evaluated), its own bound
+ * pricing, and a strict '<' reduction in candidate order.  So pick v
+ * is bit-identical to a search of cfgs[v] alone, counters included.
+ * A cancellation or fault raised by a variant's block poll drops that
+ * variant only.
  */
 void
 pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
          const TechnologyModel &tech, const CandidateBlock &candidates,
          Objective objective, const SearchOptions &search,
-         ThreadPool *pool, std::span<VariantPick> picks)
+         std::span<VariantPick> picks)
 {
     NNBATON_TRACE_SCOPE("mapper.pick_best");
     const size_t nv = cfgs.size();
-    if (pool && nv != 1)
-        panic("pickBest: parallel lanes serve single-variant searches");
     const bool prune = search.boundPruning;
     const AcceleratorConfig &group = cfgs[0];
 
@@ -139,15 +94,11 @@ pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
         wl1_per_bit[v] = tech.sramEnergyPerBit(cfgs[v].core.wl1Bytes);
     }
 
-    // The serial lane walks the block in ascending-ordinal order — an
+    // The block is walked in ascending-ordinal order — an
     // enumeration-neighbour stream — through the incremental
     // analyzer, preparing each surviving candidate once for all
-    // variants.  The parallel lanes hand out indices
-    // nondeterministically and keep the full evaluation (results are
-    // bit-identical either way).
-    std::optional<IncrementalAnalyzer> inc;
-    if (!pool)
-        inc.emplace(layer, group);
+    // variants.
+    IncrementalAnalyzer inc(layer, group);
 
     const size_t n = candidates.size();
     std::vector<MappingShapes> shapes(std::min(n, kPruneBlock));
@@ -164,8 +115,6 @@ pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
     for (size_t v = 0; v < nv; ++v)
         live[v] = v;
     MappingChoice scratch;
-    std::vector<MappingChoice> slots(pool ? shapes.size() : 0);
-    std::vector<size_t> survivors;
 
     for (size_t base = 0; base < n && !live.empty(); base += kPruneBlock) {
         // Cancellation granularity: one poll per prune block and
@@ -213,9 +162,8 @@ pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
                                             rung_shapes, m, objective);
                     rung_floored = true;
                 }
-                // The serial lane prepares survivors from these shapes.
-                if (!pool)
-                    shapes[i] = rung_shapes;
+                // Survivors are prepared from these shapes.
+                shapes[i] = rung_shapes;
                 for (const size_t v : live) {
                     VariantPick &pick = picks[v];
                     const bool cut =
@@ -229,40 +177,13 @@ pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
             }
         }
 
-        NNBATON_TRACE_SCOPE("mapper.c3p_analysis");
-        if (pool) {
-            // Full evaluation of the survivors in parallel lanes
-            // (indices write disjoint slots), then the deterministic
-            // reduction in candidate order.
-            survivors.clear();
-            for (size_t i = 0; i < count; ++i) {
-                if (survives[i])
-                    survivors.push_back(i);
-            }
-            pool->parallelFor(
-                static_cast<int64_t>(survivors.size()), [&](int64_t j) {
-                    const size_t i = survivors[static_cast<size_t>(j)];
-                    slots[i] = evaluateMapping(
-                        layer, group, tech, candidates.mapping(base + i));
-                });
-            VariantPick &pick = picks[0];
-            pick.stats.evaluated += static_cast<int64_t>(survivors.size());
-            for (const size_t i : survivors) {
-                const double score = scoreOf(slots[i], objective);
-                if (!pick.best || score < pick.bestScore) {
-                    pick.best = std::move(slots[i]);
-                    pick.bestScore = score;
-                }
-            }
-            continue;
-        }
-
         // Candidate-major evaluation: prepare a survivor once, then
         // resolve, price and reduce it for each variant it survived
         // in (only the W-L1 / A-L2 retention and the counts change
         // between variants; a winner is copied out).  The bound pass
         // above already froze every decision of this block, so
         // reducing as we go equals reducing after it.
+        NNBATON_TRACE_SCOPE("mapper.c3p_analysis");
         for (size_t i = 0; i < count; ++i) {
             bool prepared = false;
             for (const size_t v : live) {
@@ -270,13 +191,13 @@ pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
                     continue;
                 if (!prepared) {
                     scratch.mapping = candidates.mapping(base + i);
-                    inc->prepare(scratch.mapping, shapes[i]);
-                    inc->beginInto(scratch.analysis);
+                    inc.prepare(scratch.mapping, shapes[i]);
+                    inc.beginInto(scratch.analysis);
                     prepared = true;
                 }
                 const AcceleratorConfig &cfg = cfgs[v];
                 VariantPick &pick = picks[v];
-                inc->resolveInto(cfg, scratch.analysis);
+                inc.resolveInto(cfg, scratch.analysis);
                 scratch.energy =
                     computeEnergy(scratch.analysis.counts, cfg, tech);
                 scratch.runtime =
@@ -312,8 +233,7 @@ pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
         if (prune)
             m_prune_hist.record(pick.stats.pruned);
     }
-    if (inc)
-        mirrorIncrementalMetrics(inc->stats());
+    mirrorIncrementalMetrics(inc.stats());
 }
 
 /** pickBest() for one configuration; rethrows its poll error. */
@@ -321,11 +241,11 @@ std::optional<MappingChoice>
 pickOne(const ConvLayer &layer, const AcceleratorConfig &cfg,
         const TechnologyModel &tech, const CandidateBlock &candidates,
         Objective objective, const SearchOptions &search,
-        ThreadPool *pool, SearchStats *stats)
+        SearchStats *stats)
 {
     VariantPick pick;
     pickBest(layer, std::span(&cfg, 1), tech, candidates, objective,
-             search, pool, std::span(&pick, 1));
+             search, std::span(&pick, 1));
     if (pick.error)
         std::rethrow_exception(pick.error);
     if (stats)
@@ -334,76 +254,18 @@ pickOne(const ConvLayer &layer, const AcceleratorConfig &cfg,
 }
 
 /**
- * Strategy dispatch for one layer search.  @p warm_hint (Bnb only) is
- * a cached winner from a sibling configuration, or null.
- */
-std::optional<MappingChoice>
-runLayerSearch(const ConvLayer &layer, const AcceleratorConfig &cfg,
-               const TechnologyModel &tech, SearchEffort effort,
-               Objective objective, const SearchOptions &search,
-               ThreadPool *pool, SearchStats *stats,
-               const Mapping *warm_hint)
-{
-    switch (search.mode) {
-      case SearchMode::Exhaustive: {
-        CandidateBlock candidates;
-        {
-            NNBATON_TRACE_SCOPE("mapper.candidates");
-            enumerateCandidatesInto(layer, cfg, effort, candidates);
-        }
-        return pickOne(layer, cfg, tech, candidates, objective,
-                       search, pool, stats);
-      }
-      case SearchMode::Bnb: {
-        const CandidateSpace space(layer, cfg, effort);
-        return searchBranchAndBound(layer, cfg, tech, space, objective,
-                                    search, pool, stats, warm_hint);
-      }
-      case SearchMode::Anneal: {
-        const CandidateSpace space(layer, cfg, effort);
-        return searchAnneal(layer, cfg, tech, space, objective, search,
-                            stats);
-      }
-    }
-    panic("bad SearchMode");
-}
-
-/**
  * The cache-miss search of one layer for the capacity variants
- * @p cfgs.  Exhaustive search enumerates the candidates once and runs
- * pickBest() over every variant whose W-L1 holds a vector step (the
- * others have no legal candidate at all); the other modes search each
- * variant on its own, warm-started from @p cache when asked to.
+ * @p cfgs: the candidates are enumerated once and pickBest() runs
+ * over every variant whose W-L1 holds a vector step (the others have
+ * no legal candidate at all).
  */
 void
 searchVariants(const ConvLayer &layer,
                std::span<const AcceleratorConfig> cfgs,
                const TechnologyModel &tech, SearchEffort effort,
                Objective objective, const SearchOptions &search,
-               ThreadPool *pool, MappingCache &cache,
                std::span<VariantPick> picks)
 {
-    if (search.mode != SearchMode::Exhaustive) {
-        for (size_t v = 0; v < cfgs.size(); ++v) {
-            try {
-                // Warm start (opt-in): seed the B&B incumbent from a
-                // published sibling-config winner for this layer
-                // shape.  Hint only — the winner never changes.
-                std::optional<Mapping> hint;
-                if (search.warmStart && search.mode == SearchMode::Bnb)
-                    hint = cache.findShapeMatch(MappingCache::makeKey(
-                        layer, cfgs[v], tech, effort, objective,
-                        search.mode, search.annealSeed));
-                picks[v].best = runLayerSearch(
-                    layer, cfgs[v], tech, effort, objective, search,
-                    pool, &picks[v].stats, hint ? &*hint : nullptr);
-            } catch (...) {
-                picks[v].error = std::current_exception();
-            }
-        }
-        return;
-    }
-
     std::vector<AcceleratorConfig> feasible;
     std::vector<size_t> slot;
     for (size_t v = 0; v < cfgs.size(); ++v) {
@@ -420,7 +282,7 @@ searchVariants(const ConvLayer &layer,
         enumerateCandidatesInto(layer, feasible[0], effort, candidates);
     }
     std::vector<VariantPick> feasible_picks(feasible.size());
-    pickBest(layer, feasible, tech, candidates, objective, search, pool,
+    pickBest(layer, feasible, tech, candidates, objective, search,
              feasible_picks);
     for (size_t k = 0; k < slot.size(); ++k)
         picks[slot[k]] = std::move(feasible_picks[k]);
@@ -443,11 +305,13 @@ searchLayer(const ConvLayer &layer, const AcceleratorConfig &cfg,
             Objective objective, const SearchOptions &search,
             SearchStats *stats)
 {
-    std::unique_ptr<ThreadPool> pool;
-    if (search.threads > 1 && !ThreadPool::inParallelRegion())
-        pool = std::make_unique<ThreadPool>(search.threads);
-    return runLayerSearch(layer, cfg, tech, effort, objective, search,
-                          pool.get(), stats, /*warm_hint=*/nullptr);
+    CandidateBlock candidates;
+    {
+        NNBATON_TRACE_SCOPE("mapper.candidates");
+        enumerateCandidatesInto(layer, cfg, effort, candidates);
+    }
+    return pickOne(layer, cfg, tech, candidates, objective, search,
+                   stats);
 }
 
 std::optional<MappingChoice>
@@ -461,7 +325,7 @@ searchLayerWithSpatial(const ConvLayer &layer,
     enumerateCandidatesInto(CandidateSpace(layer, cfg, effort, pkg, chip),
                             candidates);
     return pickOne(layer, cfg, tech, candidates, objective,
-                   SearchOptions{}, /*pool=*/nullptr, /*stats=*/nullptr);
+                   SearchOptions{}, /*stats=*/nullptr);
 }
 
 ModelMappingResult
@@ -513,12 +377,6 @@ mapModelVariants(const Model &model,
     MappingCache private_cache;
     MappingCache &shared = cache ? *cache : private_cache;
 
-    // Intra-layer parallel lanes serve single-configuration searches;
-    // a batch is one serial candidate walk.
-    std::unique_ptr<ThreadPool> pool;
-    if (nv == 1 && search.threads > 1 && !ThreadPool::inParallelRegion())
-        pool = std::make_unique<ThreadPool>(search.threads);
-
     static obs::Histogram &m_layer_us =
         obs::MetricsRegistry::instance().histogram(
             "mapper.layer_search_us");
@@ -548,8 +406,7 @@ mapModelVariants(const Model &model,
         // Capacity variants' keys differ only in the two sizes.
         keys.assign(live.size(),
                     MappingCache::makeKey(layer, cfgs[live[0]], tech,
-                                          effort, objective, search.mode,
-                                          search.annealSeed));
+                                          effort, objective));
         for (size_t k = 0; k < live.size(); ++k) {
             keys[k].wl1Bytes = cfgs[live[k]].core.wl1Bytes;
             keys[k].al2Bytes = cfgs[live[k]].chiplet.al2Bytes;
@@ -567,8 +424,7 @@ mapModelVariants(const Model &model,
                     batch_cfgs.push_back(cfgs[live[k]]);
                 picks.assign(missing.size(), VariantPick{});
                 searchVariants(layer, batch_cfgs, tech, effort,
-                               objective, search, pool.get(), shared,
-                               picks);
+                               objective, search, picks);
                 for (size_t j = 0; j < missing.size(); ++j) {
                     MappingCache::BatchSlot &slot = out[missing[j]];
                     slot.value = std::move(picks[j].best);

@@ -27,9 +27,7 @@
 
 namespace nnbaton {
 
-class MappingCache;        // mapper/cache.hpp
-class ThreadPool;          // common/parallel.hpp
-class IncrementalAnalyzer; // c3p/incremental.hpp
+class MappingCache; // mapper/cache.hpp
 
 /** Search objective. */
 enum class Objective
@@ -39,31 +37,12 @@ enum class Objective
 };
 
 /**
- * Search strategy over the candidate tree (docs/search.md).
- *
- * Exhaustive and Bnb return bit-identical winners: the branch-and-
- * bound search only skips candidates its lower bound proves cannot
- * win, and ties break on the candidate's position in enumeration
- * order in both modes.  Anneal is an opt-in stochastic mode whose
- * result depends on SearchOptions::annealSeed.
- */
-enum class SearchMode
-{
-    Exhaustive, //!< flat enumerate-then-evaluate with per-candidate
-                //!< bound pruning (the historical default)
-    Bnb,        //!< best-bound-first branch and bound over the lazy
-                //!< candidate tree; same winner, far fewer evaluations
-    Anneal,     //!< seeded simulated annealing; approximate
-};
-
-const char *toString(SearchMode mode);
-
-/**
  * Work counters for the mapping search.  All counters are
  * deterministic: pruning decisions are made at fixed block boundaries
- * independent of the thread count, and the cross-design-point cache
- * computes every unique key exactly once, so serial and parallel runs
- * report identical totals.
+ * (kPruneBlock in search.cpp) and the cross-design-point cache
+ * computes every unique key exactly once, so the batched sweep, the
+ * per-point path and any number of sweep lanes report identical
+ * totals.
  */
 struct SearchStats
 {
@@ -72,26 +51,12 @@ struct SearchStats
     int64_t cacheHits = 0;   //!< layer searches served from the cache
     int64_t cacheMisses = 0; //!< layer searches actually run
 
-    // Branch-and-bound tree counters (zero in the other modes).
-    int64_t nodesOpened = 0;      //!< subtrees expanded into leaves
-    int64_t subtreesPruned = 0;   //!< subtrees discarded unexpanded
-    int64_t incumbentUpdates = 0; //!< times the best-so-far improved
-    int64_t warmStarts = 0;       //!< searches seeded from a cache hit
-    int64_t refined = 0;          //!< tier-2 refined bounds computed
-    int64_t refinedPruned = 0;    //!< candidates cut by the tier-2 bound
-
     SearchStats &operator+=(const SearchStats &other)
     {
         evaluated += other.evaluated;
         pruned += other.pruned;
         cacheHits += other.cacheHits;
         cacheMisses += other.cacheMisses;
-        nodesOpened += other.nodesOpened;
-        subtreesPruned += other.subtreesPruned;
-        incumbentUpdates += other.incumbentUpdates;
-        warmStarts += other.warmStarts;
-        refined += other.refined;
-        refinedPruned += other.refinedPruned;
         return *this;
     }
 };
@@ -99,38 +64,10 @@ struct SearchStats
 /** Execution options for the mapping search. */
 struct SearchOptions
 {
-    /** Total threads (including the caller); <= 1 runs serially.
-     *  Results are bit-identical across thread counts. */
-    int threads = 1;
-
     /** Skip candidates whose cheap score lower bound (mapper/
      *  bound.hpp) cannot beat the incumbent.  Sound: never changes
      *  the selected mapping. */
     bool boundPruning = true;
-
-    /** Search strategy (docs/search.md).  Bnb matches Exhaustive's
-     *  winner bit for bit; Anneal is approximate and seeded. */
-    SearchMode mode = SearchMode::Exhaustive;
-
-    /**
-     * Seed the branch-and-bound incumbent from a cache entry for the
-     * same layer shape under a different configuration when one is
-     * resident (the hinted mapping is located in this search's own
-     * candidate grid and evaluated first, so the returned winner
-     * never changes).  Off by default: a tighter early incumbent
-     * shifts the evaluated/pruned split by whatever happens to be
-     * cached, so deterministic-counter contexts (the parallel sweep)
-     * must leave this off.  The serving daemon turns it on.
-     */
-    bool warmStart = false;
-
-    /** RNG seed for SearchMode::Anneal; the per-layer RNG mixes this
-     *  with the layer/config fingerprint so equal seeds reproduce
-     *  equal results. */
-    uint64_t annealSeed = 1;
-
-    /** Annealing move budget per layer search. */
-    int annealIterations = 400;
 
     /** Record latency histograms (per-layer search time) into the
      *  obs metrics registry (the --metrics CLI flag).  Observation
@@ -165,32 +102,6 @@ MappingChoice evaluateMapping(const ConvLayer &layer,
                               const AnalysisOptions &options = {});
 
 /**
- * evaluateMapping() through the delta-aware incremental evaluator:
- * @p state carries the previous candidate's cached per-level C3P
- * terms, so enumeration-neighbour candidates skip most of the
- * analysis.  Bit-identical to evaluateMapping() on legal mappings
- * (the serial search lanes use this; see c3p/incremental.hpp).
- */
-MappingChoice evaluateMappingIncremental(const ConvLayer &layer,
-                                         const AcceleratorConfig &cfg,
-                                         const TechnologyModel &tech,
-                                         const Mapping &mapping,
-                                         IncrementalAnalyzer &state);
-
-/**
- * evaluateMappingIncremental() writing into caller-owned storage, so
- * a hot evaluation loop that feeds the same @p out slot back in keeps
- * the analysis vectors' capacity and allocates nothing in the steady
- * state.  All fields are fully (re)assigned.
- */
-void evaluateMappingIncrementalInto(const ConvLayer &layer,
-                                    const AcceleratorConfig &cfg,
-                                    const TechnologyModel &tech,
-                                    const Mapping &mapping,
-                                    IncrementalAnalyzer &state,
-                                    MappingChoice &out);
-
-/**
  * Search the best mapping for one layer.  Returns std::nullopt when
  * no legal candidate exists (the configuration cannot run the layer).
  */
@@ -201,10 +112,10 @@ searchLayer(const ConvLayer &layer, const AcceleratorConfig &cfg,
             Objective objective = Objective::MinEnergy);
 
 /**
- * searchLayer() with explicit execution options: candidate evaluation
- * parallelised across @p search.threads lanes and (optionally)
- * score-bound pruned.  @p stats, when non-null, accumulates work
- * counters.
+ * searchLayer() with explicit execution options: one serial walk of
+ * the enumerated candidates through the incremental evaluator,
+ * optionally score-bound pruned.  @p stats, when non-null,
+ * accumulates work counters.
  */
 std::optional<MappingChoice>
 searchLayer(const ConvLayer &layer, const AcceleratorConfig &cfg,

@@ -263,32 +263,19 @@ parseRequest(const std::string &line)
             }
             req.edpObjective = value.string == "edp";
         } else if (key == "search") {
+            // Exhaustive search is the only mapping search; the member
+            // stays accepted so existing clients keep working.
             if (!value.isString()) {
                 return errInvalidArgument(
                     "'search' must be a string");
             }
-            if (value.string == "exhaustive") {
-                req.searchMode = SearchMode::Exhaustive;
-            } else if (value.string == "bnb") {
-                req.searchMode = SearchMode::Bnb;
-            } else if (value.string == "anneal") {
-                req.searchMode = SearchMode::Anneal;
-            } else {
+            if (value.string != "exhaustive") {
                 return errInvalidArgument(
-                    "'search' must be \"exhaustive\", \"bnb\" or "
-                    "\"anneal\", got '%s'",
+                    "'search' mode '%s' is not available (the other "
+                    "search modes were removed); \"exhaustive\" is the "
+                    "only mode",
                     value.string.c_str());
             }
-        } else if (key == "annealSeed") {
-            StatusOr<int64_t> n = positiveInt(key, value);
-            if (!n.ok())
-                return n.status();
-            req.annealSeed = static_cast<uint64_t>(n.value());
-        } else if (key == "annealIterations") {
-            StatusOr<int> n = positiveInt32(key, value);
-            if (!n.ok())
-                return n.status();
-            req.annealIterations = n.value();
         } else if (key == "deadlineSeconds") {
             StatusOr<double> d = positiveDouble(key, value);
             if (!d.ok())

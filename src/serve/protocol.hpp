@@ -33,8 +33,7 @@
  *              "al2Bytes":65536},   // post: hardware overrides
  *    "tech":{"macEnergyPerOp":0.024,"frequencyGhz":0.5,...},
  *    "objective":"energy" | "edp",
- *    "search":"exhaustive" | "bnb" | "anneal",  // docs/search.md
- *    "annealSeed":1,"annealIterations":400,     // anneal only
+ *    "search":"exhaustive",         // the only mapping search
  *    "deadlineSeconds":30,          // per-request budget
  *    "macs":2048,"areaMm2":3.0,"proportional":false,  // pre only
  *    "progressSeconds":5,           // pre: heartbeat to daemon stderr
@@ -110,12 +109,6 @@ struct ServeRequest
     bool proportional = false;
 
     bool edpObjective = false;
-
-    // Mapping-search strategy ("search" / "annealSeed" /
-    // "annealIterations" members; docs/search.md).
-    SearchMode searchMode = SearchMode::Exhaustive;
-    uint64_t annealSeed = 1;
-    int annealIterations = 400;
 
     double deadlineSeconds = 0.0; //!< <= 0: server default applies
 

@@ -38,12 +38,6 @@ struct ServeMetrics
     // mirrored per request; see mapper/search.hpp).
     obs::Counter *searchEvaluated;
     obs::Counter *searchPruned;
-    obs::Counter *searchNodesOpened;
-    obs::Counter *searchSubtreesPruned;
-    obs::Counter *searchIncumbentUpdates;
-    obs::Counter *searchWarmStarts;
-    obs::Counter *searchRefined;
-    obs::Counter *searchRefinedPruned;
 
     ServeMetrics()
     {
@@ -59,27 +53,12 @@ struct ServeMetrics
         latencyUs = &reg.histogram("serve.request_us");
         searchEvaluated = &reg.counter("serve.search.evaluated");
         searchPruned = &reg.counter("serve.search.pruned");
-        searchNodesOpened = &reg.counter("serve.search.nodes_opened");
-        searchSubtreesPruned =
-            &reg.counter("serve.search.subtrees_pruned");
-        searchIncumbentUpdates =
-            &reg.counter("serve.search.incumbent_updates");
-        searchWarmStarts = &reg.counter("serve.search.warm_starts");
-        searchRefined = &reg.counter("serve.search.refined");
-        searchRefinedPruned =
-            &reg.counter("serve.search.refined_pruned");
     }
 
     void recordSearch(const SearchStats &s) const
     {
         searchEvaluated->add(s.evaluated);
         searchPruned->add(s.pruned);
-        searchNodesOpened->add(s.nodesOpened);
-        searchSubtreesPruned->add(s.subtreesPruned);
-        searchIncumbentUpdates->add(s.incumbentUpdates);
-        searchWarmStarts->add(s.warmStarts);
-        searchRefined->add(s.refined);
-        searchRefinedPruned->add(s.refinedPruned);
     }
 };
 
@@ -330,15 +309,7 @@ EvalService::runPost(const ServeRequest &req, CancelToken &cancel,
     req.config.validate();
 
     SearchOptions search;
-    search.threads = 1; // concurrency lives across requests
     search.cancel = &cancel;
-    search.mode = req.searchMode;
-    search.annealSeed = req.annealSeed;
-    search.annealIterations = req.annealIterations;
-    // The daemon has no deterministic-counter contract across its
-    // request history, so it takes the warm-start speedup: seed each
-    // branch-and-bound from any resident same-shape winner.
-    search.warmStart = req.searchMode == SearchMode::Bnb;
     PostDesignFlow flow(req.config, req.tech, SearchEffort::Exhaustive,
                         req.edpObjective ? Objective::MinEdp
                                          : Objective::MinEnergy,
@@ -347,7 +318,6 @@ EvalService::runPost(const ServeRequest &req, CancelToken &cancel,
     serveMetrics().cacheHit->add(report.stats.cacheHits);
     serveMetrics().cacheMiss->add(report.stats.cacheMisses);
     serveMetrics().recordSearch(report.stats);
-    audit.search = nnbaton::toString(req.searchMode);
     audit.cacheHits = report.stats.cacheHits;
     audit.cacheMisses = report.stats.cacheMisses;
 
@@ -371,10 +341,6 @@ EvalService::runPre(const ServeRequest &req, CancelToken &cancel,
                                   : SearchEffort::Sketch;
     opt.objective = req.edpObjective ? Objective::MinEdp
                                      : Objective::MinEnergy;
-    opt.searchMode = req.searchMode;
-    opt.annealSeed = req.annealSeed;
-    opt.annealIterations = req.annealIterations;
-    opt.warmStart = req.searchMode == SearchMode::Bnb; // see runPost
     opt.threads = 1; // concurrency lives across requests
     opt.cancel = &cancel;
     opt.cache = &cache_;
@@ -384,7 +350,6 @@ EvalService::runPre(const ServeRequest &req, CancelToken &cancel,
     serveMetrics().cacheHit->add(report.sweep.search.cacheHits);
     serveMetrics().cacheMiss->add(report.sweep.search.cacheMisses);
     serveMetrics().recordSearch(report.sweep.search);
-    audit.search = nnbaton::toString(req.searchMode);
     audit.cacheHits = report.sweep.search.cacheHits;
     audit.cacheMisses = report.sweep.search.cacheMisses;
 
@@ -411,10 +376,6 @@ EvalService::runSweepUnit(const ServeRequest &req, CancelToken &cancel,
                                   : SearchEffort::Sketch;
     opt.objective = req.edpObjective ? Objective::MinEdp
                                      : Objective::MinEnergy;
-    opt.searchMode = req.searchMode;
-    opt.annealSeed = req.annealSeed;
-    opt.annealIterations = req.annealIterations;
-    opt.warmStart = req.searchMode == SearchMode::Bnb; // see runPost
     opt.threads = 1; // concurrency lives across requests
     opt.cancel = &cancel;
     opt.cache = &cache_;
@@ -473,7 +434,6 @@ EvalService::runSweepUnit(const ServeRequest &req, CancelToken &cancel,
     serveMetrics().recordSearch(stats);
     serveMetrics().unitPoints->add(
         static_cast<int64_t>(outcomes.size()));
-    audit.search = nnbaton::toString(req.searchMode);
     audit.cacheHits = stats.cacheHits;
     audit.cacheMisses = stats.cacheMisses;
 
@@ -519,12 +479,6 @@ EvalService::runSweepUnit(const ServeRequest &req, CancelToken &cancel,
     j.field("pruned", stats.pruned);
     j.field("cacheHits", stats.cacheHits);
     j.field("cacheMisses", stats.cacheMisses);
-    j.field("nodesOpened", stats.nodesOpened);
-    j.field("subtreesPruned", stats.subtreesPruned);
-    j.field("incumbentUpdates", stats.incumbentUpdates);
-    j.field("warmStarts", stats.warmStarts);
-    j.field("refined", stats.refined);
-    j.field("refinedPruned", stats.refinedPruned);
     j.endObject();
     j.endObject();
     return ss.str();
@@ -584,7 +538,6 @@ EvalService::writeAccessLog(const RequestAudit &audit)
     j.field("bytesOut", static_cast<int64_t>(audit.bytesOut));
     j.field("cacheHits", audit.cacheHits);
     j.field("cacheMisses", audit.cacheMisses);
-    j.field("search", audit.search);
     j.endObject();
     // One fwrite per line so concurrent lanes never interleave bytes.
     const std::string lineOut = ss.str() + "\n";

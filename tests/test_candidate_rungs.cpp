@@ -136,6 +136,24 @@ ordersOf(int64_t order)
     return {of(order / 2), of(order % 2)};
 }
 
+/** Subtree @p i's legal leaves, one makeLeaf() per grid coordinate in
+ *  ascending-ordinal order: the per-leaf reference walk. */
+std::vector<CandidateSpace::Leaf>
+gridLeaves(const CandidateSpace &space, size_t i)
+{
+    const CandidateSpace::Subtree &st = space.subtree(i);
+    std::vector<CandidateSpace::Leaf> out;
+    for (size_t ih = 0; ih < st.ladderH.size(); ++ih)
+        for (size_t iw = 0; iw < st.ladderW.size(); ++iw)
+            for (size_t ic = 0; ic < st.ladderC.size(); ++ic)
+                for (size_t o = 0; o < static_cast<size_t>(kOrderPairs);
+                     ++o) {
+                    if (auto leaf = space.makeLeaf(i, ih, iw, ic, o))
+                        out.push_back(*leaf);
+                }
+    return out;
+}
+
 /** Drive @p body over random (layer, config, effort) cases. */
 template <class Body>
 void
@@ -166,8 +184,23 @@ TEST(CandidateRungs, LegalLeavesComeInWholeRungs)
         for (size_t i = 0; i < space.size(); ++i) {
             const CandidateSpace::Subtree &st = space.subtree(i);
             EXPECT_EQ(st.firstOrdinal % kOrderPairs, 0) << ctx;
+            // Every grid rung is legal for all its orders or for none.
+            for (size_t ih = 0; ih < st.ladderH.size(); ++ih)
+                for (size_t iw = 0; iw < st.ladderW.size(); ++iw)
+                    for (size_t ic = 0; ic < st.ladderC.size(); ++ic) {
+                        int n = 0;
+                        for (int64_t o = 0; o < kOrderPairs; ++o)
+                            n += space.makeLeaf(i, ih, iw, ic,
+                                                static_cast<size_t>(o))
+                                     .has_value();
+                        EXPECT_TRUE(n == 0 || n == kOrderPairs)
+                            << ctx << " rung " << ih << "," << iw << ","
+                            << ic << ": " << n << " legal orders";
+                    }
+            // So the legal leaves come in runs of kOrderPairs
+            // consecutive ordinals that differ only in the orders.
             const std::vector<CandidateSpace::Leaf> leaves =
-                space.expand(i);
+                gridLeaves(space, i);
             const size_t pairs = static_cast<size_t>(kOrderPairs);
             ASSERT_EQ(leaves.size() % pairs, 0u) << ctx;
             for (size_t k = 0; k < leaves.size(); ++k) {
@@ -184,34 +217,6 @@ TEST(CandidateRungs, LegalLeavesComeInWholeRungs)
                 EXPECT_EQ(leaf.mapping.chipOrder, chip) << ctx;
                 EXPECT_EQ(leaf.fullLane, first.fullLane) << ctx;
             }
-
-            // Every grid rung is legal for all its orders or for none,
-            // and makeLeaf() agrees with expand().
-            size_t legal = 0;
-            for (size_t ih = 0; ih < st.ladderH.size(); ++ih)
-                for (size_t iw = 0; iw < st.ladderW.size(); ++iw)
-                    for (size_t ic = 0; ic < st.ladderC.size(); ++ic) {
-                        int n = 0;
-                        for (int64_t o = 0; o < kOrderPairs; ++o) {
-                            const auto leaf = space.makeLeaf(
-                                i, ih, iw, ic, static_cast<size_t>(o));
-                            if (!leaf)
-                                continue;
-                            ASSERT_LT(legal, leaves.size()) << ctx;
-                            EXPECT_EQ(leaf->ordinal,
-                                      leaves[legal].ordinal)
-                                << ctx;
-                            EXPECT_EQ(leaf->mapping.toString(),
-                                      leaves[legal].mapping.toString())
-                                << ctx;
-                            ++legal;
-                            ++n;
-                        }
-                        EXPECT_TRUE(n == 0 || n == kOrderPairs)
-                            << ctx << " rung " << ih << "," << iw << ","
-                            << ic << ": " << n << " legal orders";
-                    }
-            EXPECT_EQ(legal, leaves.size()) << ctx;
         }
     });
 }
@@ -308,7 +313,7 @@ TEST(CandidateRungs, EnumerationIsTheLaneFilteredExpandConcatenation)
         std::vector<CandidateSpace::Leaf> all;
         bool any_full = false;
         for (size_t i = 0; i < space.size(); ++i) {
-            for (const CandidateSpace::Leaf &leaf : space.expand(i)) {
+            for (const CandidateSpace::Leaf &leaf : gridLeaves(space, i)) {
                 any_full = any_full || leaf.fullLane;
                 all.push_back(leaf);
             }
@@ -379,7 +384,6 @@ TEST(CandidateRungs, ExhaustivePostSearchCountersArePinned)
                                 ? makeAlexNet(224)
                                 : makeResNet50(224);
         SearchOptions search;
-        search.threads = 1;
         const ModelMappingResult r =
             mapModel(model, pin.fig15 ? fig15 : caseStudyConfig(),
                      defaultTech(), SearchEffort::Exhaustive,

@@ -1,13 +1,15 @@
 /**
  * @file
- * The parallel sweep engine's central promise: explore() and
- * mapModel() produce bit-identical results (points, scores, mapping
- * choices, and work counters) at any thread count, with or without
- * the shared cross-point cache.
+ * The parallel sweep engine's central promise: explore() produces
+ * bit-identical results (points, scores and work counters) at any
+ * thread count, and mapModel() gives the same mapping choices and
+ * counters whether it runs alone or on parallel lanes, with or
+ * without the shared cross-point cache.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.hpp"
 #include "dse/explorer.hpp"
 #include "mapper/cache.hpp"
 #include "mapper/search.hpp"
@@ -39,6 +41,40 @@ sweep(int threads, bool pruning = true)
     opt.threads = threads;
     opt.boundPruning = pruning;
     return explore(miniModel(), opt, defaultTech());
+}
+
+/** @p model mapped once per lane on a pool of @p threads, every lane
+ *  running its own mapModel() call (as explore() does per point). */
+std::vector<ModelMappingResult>
+mapOnLanes(const Model &model, SearchEffort effort, int threads,
+           MappingCache *cache = nullptr)
+{
+    std::vector<ModelMappingResult> out(static_cast<size_t>(threads) * 2);
+    ThreadPool pool(threads);
+    pool.parallelFor(static_cast<int64_t>(out.size()), [&](int64_t i) {
+        out[static_cast<size_t>(i)] =
+            mapModel(model, caseStudyConfig(), defaultTech(), effort,
+                     Objective::MinEnergy, SearchOptions{}, cache);
+    });
+    return out;
+}
+
+void
+expectSameChoices(const ModelMappingResult &a,
+                  const ModelMappingResult &b)
+{
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.cost.energy.total(), b.cost.energy.total());
+    EXPECT_EQ(a.cost.cycles, b.cost.cycles);
+    ASSERT_EQ(a.choices.size(), b.choices.size());
+    for (size_t i = 0; i < a.choices.size(); ++i) {
+        EXPECT_EQ(a.choices[i].mapping.toString(),
+                  b.choices[i].mapping.toString())
+            << i;
+        EXPECT_EQ(a.choices[i].energy.total(),
+                  b.choices[i].energy.total())
+            << i;
+    }
 }
 
 void
@@ -120,40 +156,32 @@ TEST(Determinism, ExploreCountersAreConsistent)
 TEST(Determinism, MapModelParallelMatchesSerial)
 {
     const Model model = miniModel();
-    const AcceleratorConfig cfg = caseStudyConfig();
-    const TechnologyModel &tech = defaultTech();
-
-    SearchOptions serial_opt;
-    serial_opt.threads = 1;
     const ModelMappingResult serial =
-        mapModel(model, cfg, tech, SearchEffort::Fast,
-                 Objective::MinEnergy, serial_opt);
+        mapModel(model, caseStudyConfig(), defaultTech(),
+                 SearchEffort::Fast, Objective::MinEnergy, SearchOptions{});
 
     for (int threads : {2, 4}) {
-        SearchOptions par_opt;
-        par_opt.threads = threads;
-        const ModelMappingResult parallel =
-            mapModel(model, cfg, tech, SearchEffort::Fast,
-                     Objective::MinEnergy, par_opt);
         SCOPED_TRACE(threads);
-        EXPECT_EQ(parallel.feasible, serial.feasible);
-        EXPECT_EQ(parallel.stats.evaluated, serial.stats.evaluated);
-        EXPECT_EQ(parallel.stats.pruned, serial.stats.pruned);
-        EXPECT_EQ(parallel.stats.cacheHits, serial.stats.cacheHits);
-        EXPECT_EQ(parallel.stats.cacheMisses,
-                  serial.stats.cacheMisses);
-        EXPECT_EQ(parallel.cost.energy.total(),
-                  serial.cost.energy.total());
-        EXPECT_EQ(parallel.cost.cycles, serial.cost.cycles);
-        ASSERT_EQ(parallel.choices.size(), serial.choices.size());
-        for (size_t i = 0; i < serial.choices.size(); ++i) {
-            EXPECT_EQ(parallel.choices[i].mapping.toString(),
-                      serial.choices[i].mapping.toString())
-                << i;
-            EXPECT_EQ(parallel.choices[i].energy.total(),
-                      serial.choices[i].energy.total())
-                << i;
+        // Private caches: every lane does the serial call's work.
+        for (const ModelMappingResult &lane :
+             mapOnLanes(model, SearchEffort::Fast, threads)) {
+            expectSameChoices(lane, serial);
+            EXPECT_EQ(lane.stats.evaluated, serial.stats.evaluated);
+            EXPECT_EQ(lane.stats.pruned, serial.stats.pruned);
+            EXPECT_EQ(lane.stats.cacheHits, serial.stats.cacheHits);
+            EXPECT_EQ(lane.stats.cacheMisses, serial.stats.cacheMisses);
         }
+        // One shared cache: each key is searched exactly once across
+        // the lanes, and every lane still sees the same choices.
+        MappingCache shared;
+        int64_t misses = 0;
+        for (const ModelMappingResult &lane :
+             mapOnLanes(model, SearchEffort::Fast, threads, &shared)) {
+            expectSameChoices(lane, serial);
+            misses += lane.stats.cacheMisses;
+        }
+        EXPECT_EQ(misses, serial.stats.cacheMisses);
+        EXPECT_EQ(static_cast<int64_t>(shared.size()), misses);
     }
 }
 
@@ -177,43 +205,27 @@ TEST(Determinism, TransformerLayersAcrossThreadsAndModes)
 {
     // Transformer-era shapes (batched GEMMs, the lowered attention
     // block with its vector-op tail) must keep the bit-identical
-    // promise at every thread count and under all three search
-    // strategies; the repeated GEMM exercises the batch/postOps-aware
-    // cache key on the way.
+    // promise on parallel lanes under every search effort; the
+    // repeated GEMM exercises the batch/postOps-aware cache key on
+    // the way.
     Model m("tf", 24);
     appendAttentionBlock(m, "a", 24, 96, 4, 2);
     m.addLayer(makeGemm("g1", 48, 64, 96, 3, 2));
     m.addLayer(makeGemm("g2", 48, 64, 96, 3, 2)); // cache repeat
-    const AcceleratorConfig cfg = caseStudyConfig();
-    const TechnologyModel &tech = defaultTech();
 
-    for (SearchMode mode : {SearchMode::Exhaustive, SearchMode::Bnb,
-                            SearchMode::Anneal}) {
-        SearchOptions base;
-        base.mode = mode;
-        base.threads = 1;
+    for (SearchEffort effort : {SearchEffort::Exhaustive,
+                                SearchEffort::Fast, SearchEffort::Sketch}) {
         const ModelMappingResult serial =
-            mapModel(m, cfg, tech, SearchEffort::Fast,
-                     Objective::MinEnergy, base);
-        SCOPED_TRACE(static_cast<int>(mode));
+            mapModel(m, caseStudyConfig(), defaultTech(), effort,
+                     Objective::MinEnergy, SearchOptions{});
+        SCOPED_TRACE(static_cast<int>(effort));
         ASSERT_TRUE(serial.feasible);
         EXPECT_EQ(serial.stats.cacheHits, 1); // g2 repeats g1 exactly
         for (int threads : {2, 4}) {
-            SearchOptions opt = base;
-            opt.threads = threads;
-            const ModelMappingResult parallel = mapModel(
-                m, cfg, tech, SearchEffort::Fast, Objective::MinEnergy,
-                opt);
             SCOPED_TRACE(threads);
-            EXPECT_EQ(parallel.cost.energy.total(),
-                      serial.cost.energy.total());
-            EXPECT_EQ(parallel.cost.cycles, serial.cost.cycles);
-            ASSERT_EQ(parallel.choices.size(), serial.choices.size());
-            for (size_t i = 0; i < serial.choices.size(); ++i) {
-                EXPECT_EQ(parallel.choices[i].mapping.toString(),
-                          serial.choices[i].mapping.toString())
-                    << i;
-            }
+            for (const ModelMappingResult &lane :
+                 mapOnLanes(m, effort, threads))
+                expectSameChoices(lane, serial);
         }
     }
 }

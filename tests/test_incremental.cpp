@@ -2,10 +2,10 @@
  * @file
  * The incremental C3P evaluator (c3p/incremental.hpp) against the
  * full reference path: seeded random-walk fuzz over single-field
- * mapping diffs, enumeration-stream equality with a nonzero delta-hit
- * rate, the cross-check mode, the fast buffer scan against the
- * quadratic reference, and the arena candidate blocks against the
- * vector enumeration they replaced.
+ * mapping diffs, enumeration-stream equality with nest-memo reuse,
+ * the cross-check mode, the fast buffer scan against the quadratic
+ * reference, and the candidate blocks against the vector enumeration
+ * and the per-leaf makeLeaf() grid.
  */
 
 #include <gtest/gtest.h>
@@ -51,6 +51,23 @@ randomLayer(std::mt19937 &g)
     const int k = pick(g, {1, 3, 5});
     const int s = pick(g, {1, 2});
     return makeConv("fuzz", ho, wo, co, ci, k, k, s);
+}
+
+/** @p mapping evaluated the way the search does: prepare() with the
+ *  derived shapes, beginInto() and resolveInto(), then priced. */
+MappingChoice
+evaluateIncremental(IncrementalAnalyzer &inc, const ConvLayer &layer,
+                    const AcceleratorConfig &cfg,
+                    const TechnologyModel &tech, const Mapping &mapping)
+{
+    MappingChoice c;
+    c.mapping = mapping;
+    inc.prepare(mapping, deriveShapes(layer, cfg, mapping));
+    inc.beginInto(c.analysis);
+    inc.resolveInto(cfg, c.analysis);
+    c.energy = computeEnergy(c.analysis.counts, cfg, tech);
+    c.runtime = estimateRuntime(layer, cfg, c.analysis, tech);
+    return c;
 }
 
 /** All comparable fields of one evaluation, bit-exact. */
@@ -143,52 +160,12 @@ mutateOneField(std::mt19937 &g, const Mapping &m, const ConvLayer &layer)
 
 } // namespace
 
-TEST(IncrementalDelta, ClassifiesStructuredDiffs)
-{
-    Mapping base;
-    base.chipletTile = {28, 28, 64};
-
-    EXPECT_STREQ(toString(classifyMappingDelta(base, base)),
-                 "loop-order"); // identical: every term reusable
-
-    Mapping tile = base;
-    tile.chipletTile.co = 128;
-    EXPECT_EQ(classifyMappingDelta(base, tile),
-              MappingDelta::TileFactor);
-
-    Mapping order = base;
-    order.pkgOrder = LoopOrder::PlanePriority;
-    order.chipOrder = LoopOrder::PlanePriority;
-    EXPECT_EQ(classifyMappingDelta(base, order),
-              MappingDelta::LoopOrder);
-
-    Mapping wrap = tile;
-    wrap.chipOrder = LoopOrder::PlanePriority;
-    EXPECT_EQ(classifyMappingDelta(base, wrap),
-              MappingDelta::TileAndOrder);
-
-    Mapping spatial = base;
-    spatial.chipSplit = {2, 2};
-    EXPECT_EQ(classifyMappingDelta(base, spatial),
-              MappingDelta::SpatialSplit);
-
-    // Two tile factors, or a spatial change on top of anything else,
-    // is wider than the covered set.
-    Mapping wide = tile;
-    wide.chipletTile.ho = 14;
-    EXPECT_EQ(classifyMappingDelta(base, wide),
-              MappingDelta::Uncovered);
-    Mapping mixed = spatial;
-    mixed.chipletTile.co = 128;
-    EXPECT_EQ(classifyMappingDelta(base, mixed),
-              MappingDelta::Uncovered);
-}
-
 TEST(Incremental, EnumerationStreamMatchesFullEvaluation)
 {
-    // The exact stream the exhaustive search feeds the analyzer:
-    // every candidate of a case-study layer in ascending-ordinal
-    // order.  Results must be bit-identical and mostly delta-served.
+    // The exact stream the search feeds the analyzer: every candidate
+    // of a case-study layer in ascending-ordinal order.  Results must
+    // be bit-identical, and enumeration neighbours must hit the nest
+    // memo.
     const AcceleratorConfig cfg = caseStudyConfig();
     const TechnologyModel &tech = defaultTech();
     const RepresentativeLayers rep = representativeLayers(224);
@@ -201,16 +178,14 @@ TEST(Incremental, EnumerationStreamMatchesFullEvaluation)
         for (size_t i = 0; i < block.size(); ++i) {
             const Mapping &m = block.mapping(i);
             expectChoicesIdentical(
-                evaluateMappingIncremental(layer, cfg, tech, m, inc),
+                evaluateIncremental(inc, layer, cfg, tech, m),
                 evaluateMapping(layer, cfg, tech, m),
                 layer.name + " " + m.toString());
         }
         const IncrementalStats &st = inc.stats();
         EXPECT_EQ(st.evaluations,
                   static_cast<int64_t>(block.size()));
-        EXPECT_GT(st.deltaHits, 0) << layer.toString();
-        EXPECT_GT(st.deltaHitRatio(), 0.5) << layer.toString();
-        EXPECT_LT(st.fallbackRatio(), 0.5) << layer.toString();
+        EXPECT_GT(st.nestReuses, st.nestScans) << layer.toString();
     }
 }
 
@@ -221,10 +196,11 @@ TEST(Incremental, CrossCheckModeValidatesEveryEvaluation)
     CandidateBlock block;
     enumerateCandidatesInto(layer, cfg, SearchEffort::Sketch, block);
     ASSERT_FALSE(block.empty());
+    const TechnologyModel &tech = defaultTech();
     IncrementalAnalyzer inc(layer, cfg);
     inc.setCrossCheck(true);
-    for (size_t i = 0; i < block.size(); ++i)
-        inc.analyze(block.mapping(i)); // panics on any divergence
+    for (size_t i = 0; i < block.size(); ++i) // panics on divergence
+        evaluateIncremental(inc, layer, cfg, tech, block.mapping(i));
     EXPECT_EQ(inc.stats().crossChecks, inc.stats().evaluations);
     EXPECT_GT(inc.stats().crossChecks, 0);
 }
@@ -251,13 +227,15 @@ TEST_P(IncrementalFuzz, RandomWalkMatchesFullEvaluation)
 
     const auto diverges = [&](const DiffCase &dc) {
         IncrementalAnalyzer probe(dc.layer, dc.cfg);
-        // Prime on the case's own mapping, then re-analyze so the
-        // second pass takes the (identical-mapping) delta path.
-        probe.analyze(dc.mapping);
-        const AccessAnalysis via_delta = probe.analyze(dc.mapping);
+        // Analyze the case's own mapping twice, so the second pass is
+        // served from the nest memo.
+        evaluateIncremental(probe, dc.layer, dc.cfg, tech, dc.mapping);
+        const MappingChoice via_memo = evaluateIncremental(
+            probe, dc.layer, dc.cfg, tech, dc.mapping);
         const AccessAnalysis full =
             analyzeMapping(dc.layer, dc.cfg, dc.mapping);
-        return via_delta.counts.toString() != full.counts.toString();
+        return via_memo.analysis.counts.toString() !=
+               full.counts.toString();
     };
 
     IncrementalAnalyzer inc(layer, cfg);
@@ -269,7 +247,7 @@ TEST_P(IncrementalFuzz, RandomWalkMatchesFullEvaluation)
             continue; // illegal mutation; draw again from cur
         ++accepted;
         const MappingChoice via_inc =
-            evaluateMappingIncremental(layer, cfg, tech, next, inc);
+            evaluateIncremental(inc, layer, cfg, tech, next);
         const MappingChoice via_full =
             evaluateMapping(layer, cfg, tech, next);
         const bool same =
@@ -287,10 +265,11 @@ TEST_P(IncrementalFuzz, RandomWalkMatchesFullEvaluation)
         }
         cur = next;
     }
-    // The walk must actually exercise the delta path, not just
-    // fall back on every step.
-    if (accepted > 10)
-        EXPECT_GT(inc.stats().deltaHits, 0) << layer.toString();
+    // Single-field steps keep meeting nests the memo already holds
+    // (an order flip and back, a tile factor and back).
+    if (accepted > 10) {
+        EXPECT_GT(inc.stats().nestReuses, 0) << layer.toString();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalFuzz,
@@ -374,21 +353,46 @@ TEST(CandidateBlocks, BlockEnumerationMatchesVectorEnumeration)
 
 TEST(CandidateBlocks, ExpandIntoMatchesExpandAndReusesStorage)
 {
+    // One block refilled across layers and efforts must hold exactly
+    // the per-leaf reference each time: every makeLeaf() grid leaf in
+    // ordinal order, reduced to the preferred lane class.
     const AcceleratorConfig cfg = caseStudyConfig();
-    const ConvLayer layer = representativeLayers(224).common;
-    const CandidateSpace space(layer, cfg, SearchEffort::Fast);
-    ASSERT_GT(space.size(), 0u);
-    CandidateBlock block; // one block reused across every subtree
-    for (size_t i = 0; i < space.size(); ++i) {
-        const std::vector<CandidateSpace::Leaf> leaves =
-            space.expand(i);
-        space.expandInto(i, block);
-        ASSERT_EQ(block.size(), leaves.size()) << i;
-        for (size_t k = 0; k < leaves.size(); ++k) {
-            EXPECT_EQ(block.ordinal(k), leaves[k].ordinal);
-            EXPECT_EQ(block.fullLane(k), leaves[k].fullLane);
-            EXPECT_EQ(block.mapping(k).toString(),
-                      leaves[k].mapping.toString());
+    const RepresentativeLayers rep = representativeLayers(224);
+    CandidateBlock block; // reused by every refill
+    for (const ConvLayer &layer : {rep.common, rep.pointWise}) {
+        for (SearchEffort effort :
+             {SearchEffort::Exhaustive, SearchEffort::Fast,
+              SearchEffort::Sketch}) {
+            const CandidateSpace space(layer, cfg, effort);
+            std::vector<CandidateSpace::Leaf> want;
+            bool any_full = false;
+            for (size_t i = 0; i < space.size(); ++i) {
+                const CandidateSpace::Subtree &st = space.subtree(i);
+                for (size_t ih = 0; ih < st.ladderH.size(); ++ih)
+                    for (size_t iw = 0; iw < st.ladderW.size(); ++iw)
+                        for (size_t ic = 0; ic < st.ladderC.size(); ++ic)
+                            for (size_t o = 0;
+                                 o < static_cast<size_t>(kOrderPairs);
+                                 ++o) {
+                                const auto leaf =
+                                    space.makeLeaf(i, ih, iw, ic, o);
+                                if (!leaf)
+                                    continue;
+                                any_full = any_full || leaf->fullLane;
+                                want.push_back(*leaf);
+                            }
+            }
+            std::erase_if(want, [&](const CandidateSpace::Leaf &l) {
+                return l.fullLane != any_full;
+            });
+            enumerateCandidatesInto(space, block);
+            ASSERT_EQ(block.size(), want.size()) << layer.toString();
+            for (size_t k = 0; k < want.size(); ++k) {
+                EXPECT_EQ(block.ordinal(k), want[k].ordinal);
+                EXPECT_EQ(block.fullLane(k), want[k].fullLane);
+                EXPECT_EQ(block.mapping(k).toString(),
+                          want[k].mapping.toString());
+            }
         }
     }
 }

@@ -80,9 +80,6 @@ struct Args
     double areaMm2 = 0.0;
     bool proportional = false;
     bool edpObjective = false;
-    SearchMode searchMode = SearchMode::Exhaustive;
-    uint64_t annealSeed = 1;    //!< --anneal-seed
-    int annealIterations = 400; //!< --anneal-iters
     int threads = hardwareThreads();
     // Resilience options for long `pre` sweeps.
     std::string checkpointPath; //!< --checkpoint: snapshot file
@@ -141,15 +138,10 @@ usage()
         "  --area <mm2>          pre: chiplet area budget [none]\n"
         "  --proportional        pre: memory proportional to compute\n"
         "  --edp                 optimise EDP instead of energy\n"
-        "  --search <mode>       mapping search strategy: exhaustive,\n"
-        "                        bnb (branch and bound; same winners,\n"
-        "                        far fewer evaluations) or anneal\n"
-        "                        (seeded simulated annealing,\n"
-        "                        approximate) [exhaustive]\n"
-        "  --anneal-seed <n>     anneal: RNG seed [1]\n"
-        "  --anneal-iters <n>    anneal: moves per layer search [400]\n"
-        "  --threads <n>         worker threads (1 = serial; results\n"
-        "                        are identical) [hardware concurrency]\n"
+        "  --threads <n>         sweep, serve and worker lanes (1 =\n"
+        "                        serial; results are identical); post\n"
+        "                        searches run serially\n"
+        "                        [hardware concurrency]\n"
         "  --chiplets/--cores/--lanes/--vector <n>\n"
         "                        post/compare hardware shape\n"
         "  --ol1/--al1/--wl1/--al2 <bytes>\n"
@@ -249,26 +241,6 @@ parseArgs(int argc, char **argv, Args &args)
             args.proportional = true;
         } else if (opt == "--edp") {
             args.edpObjective = true;
-        } else if (opt == "--search") {
-            const std::string mode = next();
-            if (mode == "exhaustive") {
-                args.searchMode = SearchMode::Exhaustive;
-            } else if (mode == "bnb") {
-                args.searchMode = SearchMode::Bnb;
-            } else if (mode == "anneal") {
-                args.searchMode = SearchMode::Anneal;
-            } else {
-                throwStatus(errInvalidArgument(
-                    "--search expects exhaustive, bnb or anneal, "
-                    "got '%s'",
-                    mode.c_str()));
-            }
-        } else if (opt == "--anneal-seed") {
-            args.annealSeed = static_cast<uint64_t>(
-                parsePositiveInt64(name, next()).value());
-        } else if (opt == "--anneal-iters") {
-            args.annealIterations =
-                parsePositiveInt(name, next()).value();
         } else if (opt == "--threads") {
             args.threads = parsePositiveInt(name, next()).value();
         } else if (opt == "--chiplets") {
@@ -489,10 +461,6 @@ runPost(const Args &args)
     const Model model = loadModel(args);
     args.config.validate();
     SearchOptions search;
-    search.threads = args.threads;
-    search.mode = args.searchMode;
-    search.annealSeed = args.annealSeed;
-    search.annealIterations = args.annealIterations;
     search.detailedMetrics = args.metrics;
     search.cancel = &globalCancelToken();
     PostDesignFlow flow(args.config, defaultTech(),
@@ -537,9 +505,6 @@ runPre(const Args &args)
                                    : SearchEffort::Sketch;
     opt.objective = args.edpObjective ? Objective::MinEdp
                                       : Objective::MinEnergy;
-    opt.searchMode = args.searchMode;
-    opt.annealSeed = args.annealSeed;
-    opt.annealIterations = args.annealIterations;
     opt.threads = args.threads;
     opt.detailedMetrics = args.metrics;
     opt.progressSeconds = args.progressSeconds;
