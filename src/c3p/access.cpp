@@ -42,57 +42,24 @@ analyzeMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
             layer.name.c_str(), mapping.toString().c_str(),
             reason.c_str()));
     }
-    const MappingShapes shapes = deriveShapes(layer, cfg, mapping);
-    const NestSet nests = buildNests(layer, cfg, mapping, shapes);
+    AccessAnalysis out;
+    out.shapes = deriveShapes(layer, cfg, mapping);
+    const NestSet nests = buildNests(layer, cfg, mapping, out.shapes);
 
     // C3P buffer analyses.  W-L1 buffers of the pw cores sharing one
     // weight stream are merged into one pool (paper section III-A.2).
     const int64_t wl1_capacity =
         cfg.core.wl1Bytes *
         (options.wl1Pooling ? mapping.chipSplit.parts() : 1);
-    const ReuseResult wl1 = analyzeBuffer(nests.perCore, Tensor::Weights,
-                                          layer, wl1_capacity);
-    const ReuseResult al1 = analyzeBuffer(
-        nests.perCore, Tensor::Activations, layer, cfg.core.al1Bytes);
-    const ReuseResult al2 =
-        analyzeBuffer(nests.perChiplet, Tensor::Activations, layer,
-                      cfg.chiplet.al2Bytes);
-    return composeAccessAnalysis(layer, cfg, mapping, options, shapes,
-                                 wl1, al1, al2);
-}
-
-AccessAnalysis
-composeAccessAnalysis(const ConvLayer &layer,
-                      const AcceleratorConfig &cfg,
-                      const Mapping &mapping,
-                      const AnalysisOptions &options,
-                      const MappingShapes &shapes, const ReuseResult &wl1,
-                      const ReuseResult &al1, const ReuseResult &al2)
-{
-    AccessAnalysis out;
-    composeAccessAnalysisInto(layer, cfg, mapping, options, shapes, wl1,
-                              al1, al2, out);
-    return out;
-}
-
-void
-composeAccessAnalysisInto(const ConvLayer &layer,
-                          const AcceleratorConfig &cfg,
-                          const Mapping &mapping,
-                          const AnalysisOptions &options,
-                          const MappingShapes &shapes,
-                          const ReuseResult &wl1, const ReuseResult &al1,
-                          const ReuseResult &al2, AccessAnalysis &out)
-{
-    // The ReuseResult assignments reuse any criticalPoints capacity
-    // @p out already carries (the evaluation hot loops feed the same
-    // AccessAnalysis back in every call).
-    out.shapes = shapes;
-    out.wl1 = wl1;
-    out.al1 = al1;
-    out.al2 = al2;
+    out.wl1 = analyzeBuffer(nests.perCore, Tensor::Weights, layer,
+                            wl1_capacity);
+    out.al1 = analyzeBuffer(nests.perCore, Tensor::Activations, layer,
+                            cfg.core.al1Bytes);
+    out.al2 = analyzeBuffer(nests.perChiplet, Tensor::Activations, layer,
+                            cfg.chiplet.al2Bytes);
     composeFixedCountsInto(layer, cfg, mapping, options, out);
     addFillCountsInto(cfg, mapping, options, out);
+    return out;
 }
 
 void

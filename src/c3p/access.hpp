@@ -101,43 +101,14 @@ AccessAnalysis analyzeMapping(const ConvLayer &layer,
                               const AnalysisOptions &options = {});
 
 /**
- * The closed-form composition step of the accounting: turn the three
- * buffer reuse analyses plus the derived shapes into whole-package
- * access counts.  analyzeMapping() and the incremental
- * evaluator (c3p/incremental.hpp) both call this one function, so the
- * incremental path is bit-identical to the full one by construction —
- * the only inputs are the (integer-exact) ReuseResults and shapes.
- */
-AccessAnalysis composeAccessAnalysis(const ConvLayer &layer,
-                                     const AcceleratorConfig &cfg,
-                                     const Mapping &mapping,
-                                     const AnalysisOptions &options,
-                                     const MappingShapes &shapes,
-                                     const ReuseResult &wl1,
-                                     const ReuseResult &al1,
-                                     const ReuseResult &al2);
-
-/**
- * composeAccessAnalysis() writing into caller-owned storage.  The
- * evaluation hot loops feed the same @p out back in every call so the
- * criticalPoints vectors keep their capacity; all scalar fields are
- * fully (re)assigned, so no stale state survives.  Copies the inputs
- * into @p out, then runs composeFixedCountsInto() and
- * addFillCountsInto().
- */
-void composeAccessAnalysisInto(const ConvLayer &layer,
-                               const AcceleratorConfig &cfg,
-                               const Mapping &mapping,
-                               const AnalysisOptions &options,
-                               const MappingShapes &shapes,
-                               const ReuseResult &wl1,
-                               const ReuseResult &al1,
-                               const ReuseResult &al2,
-                               AccessAnalysis &out);
-
-/**
- * The counts of composeAccessAnalysisInto() in two halves, split at
- * the capacity-variant boundary.  composeFixedCountsInto() resets
+ * The closed-form composition step of the accounting, which turns the
+ * three buffer reuse analyses plus the derived shapes into
+ * whole-package access counts, in two halves split at the
+ * capacity-variant boundary.  analyzeMapping() and the
+ * incremental evaluator (c3p/incremental.hpp) both run these two
+ * functions, so the incremental path is bit-identical to the full one
+ * by construction — the only inputs are the (integer-exact)
+ * ReuseResults and shapes.  composeFixedCountsInto() resets
  * @p out's counts to everything that does not read the W-L1 or A-L2
  * fills — PE-side reads, the A-L1 chain, O-L1 / O-L2, MACs, DRAM
  * writes — and sets the utilisations, from the shapes and A-L1 term

@@ -39,15 +39,6 @@ analyzeBuffer(const LoopNest &nest, Tensor tensor, const ConvLayer &layer,
     return r;
 }
 
-ReuseResult
-analyzeBufferFast(const LoopNest &nest, Tensor tensor,
-                  const ConvLayer &layer, int64_t capacity_bytes)
-{
-    ReuseResult r;
-    analyzeBufferFastInto(nest, tensor, layer, capacity_bytes, r);
-    return r;
-}
-
 void
 FootprintLadder::resolveInto(int64_t capacity_bytes, ReuseResult &out) const
 {
@@ -85,16 +76,6 @@ buildFootprintLadder(const LoopNest &nest, Tensor tensor,
     out.tripsAbove[0] = 1;
     for (size_t i = 0; i < nb; ++i)
         out.tripsAbove[i + 1] = out.tripsAbove[i] * nest.loops[i].trips;
-}
-
-void
-analyzeBufferFastInto(const LoopNest &nest, Tensor tensor,
-                      const ConvLayer &layer, int64_t capacity_bytes,
-                      ReuseResult &out)
-{
-    FootprintLadder ladder;
-    buildFootprintLadder(nest, tensor, layer, ladder);
-    ladder.resolveInto(capacity_bytes, out);
 }
 
 } // namespace nnbaton

@@ -86,7 +86,13 @@ struct FootprintLadder
     }
 
     /** analyzeBuffer()'s result for a buffer of @p capacity_bytes,
-     *  written into caller-owned storage (all fields reassigned). */
+     *  written into caller-owned storage (all fields reassigned).
+     *  Linear instead of quadratic in the nest depth: the span
+     *  products are the same exact int64 multiplications in a
+     *  different (commutative) order, so every field is bit-identical
+     *  to analyzeBuffer()'s — the incremental evaluator and the
+     *  capacity-batched search rely on that, and test_incremental
+     *  pins it. */
     void resolveInto(int64_t capacity_bytes, ReuseResult &out) const;
 
     /** The capacity-dependent fields of resolveInto() only (retention
@@ -119,27 +125,6 @@ void buildFootprintLadder(const LoopNest &nest, Tensor tensor,
  */
 ReuseResult analyzeBuffer(const LoopNest &nest, Tensor tensor,
                           const ConvLayer &layer, int64_t capacity_bytes);
-
-/**
- * analyzeBuffer() as buildFootprintLadder() plus one threshold lookup:
- * linear instead of quadratic in the nest depth.  Span products are
- * the same exact int64 multiplications in a different (commutative)
- * order, so the result is bit-identical to analyzeBuffer() on every
- * field — the incremental evaluator and the capacity-batched search
- * rely on that, and the C3P fuzz suite pins it.
- */
-ReuseResult analyzeBufferFast(const LoopNest &nest, Tensor tensor,
-                              const ConvLayer &layer,
-                              int64_t capacity_bytes);
-
-/**
- * analyzeBufferFast() writing into caller-owned storage: @p out's
- * criticalPoints vector keeps its capacity across calls.  All fields
- * are fully (re)assigned.
- */
-void analyzeBufferFastInto(const LoopNest &nest, Tensor tensor,
-                           const ConvLayer &layer, int64_t capacity_bytes,
-                           ReuseResult &out);
 
 } // namespace nnbaton
 

@@ -11,8 +11,8 @@
  * allocation-free and serves each ladder either from a small
  * hash-guarded exact-match memo keyed on the nest alone or with the
  * linear-time scan; the final composition runs through the same
- * composeAccessAnalysis() code as analyzeMapping(), so results are
- * bit-identical by construction.
+ * composeFixedCountsInto() / addFillCountsInto() code as
+ * analyzeMapping(), so results are bit-identical by construction.
  *
  * The analysis splits into prepare() and beginInto() (nests, ladders
  * and the fill-independent counts — all capacity-independent) and
@@ -103,7 +103,6 @@ class IncrementalAnalyzer
     /** Validate every result against the full analysis (CI mode);
      *  panics on the first divergence with the offending mapping. */
     void setCrossCheck(bool on) { crossCheck_ = on; }
-    bool crossCheckEnabled() const { return crossCheck_; }
 
     /** True when NNBATON_INCREMENTAL_CHECK is set (and not "0"). */
     static bool crossCheckFromEnv();

@@ -163,13 +163,15 @@ void writeFlightRecorderToFd(int fd);
  */
 void installFlightSignalHandler(const char *path);
 
-/** RAII span; prefer the NNBATON_TRACE_SCOPE macro. */
+/** RAII span; prefer the NNBATON_TRACE_SCOPE and
+ *  NNBATON_TRACE_DETAIL_SCOPE macros.  A @p detail span is recorded
+ *  only while tracing is on, never for the flight recorder alone. */
 class TraceScope
 {
   public:
-    explicit TraceScope(const char *name)
+    explicit TraceScope(const char *name, bool detail = false)
     {
-        if (tracingEnabled() || flightRecorderEnabled()) {
+        if (tracingEnabled() || (!detail && flightRecorderEnabled())) {
             name_ = name;
             start_ = traceNowNs();
         }
@@ -197,11 +199,19 @@ class TraceScope
 
 #ifdef NNBATON_TRACE_DISABLED
 #define NNBATON_TRACE_SCOPE(name) static_cast<void>(0)
+#define NNBATON_TRACE_DETAIL_SCOPE(name) static_cast<void>(0)
 #else
 /** Trace the enclosing scope as a span named @p name (a literal). */
 #define NNBATON_TRACE_SCOPE(name)                                       \
     ::nnbaton::obs::TraceScope NNBATON_TRACE_CAT(nnbatonTraceScope_,    \
                                                  __LINE__)(name)
+/** NNBATON_TRACE_SCOPE for scopes too fine-grained for the always-on
+ *  flight recorder: two clock reads each would be a measurable share
+ *  of the work, and they would crowd everything else out of its ring.
+ *  Recorded only while tracing is on. */
+#define NNBATON_TRACE_DETAIL_SCOPE(name)                                \
+    ::nnbaton::obs::TraceScope NNBATON_TRACE_CAT(nnbatonTraceScope_,    \
+                                                 __LINE__)(name, true)
 #endif
 
 #endif // NNBATON_COMMON_TRACE_HPP

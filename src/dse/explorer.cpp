@@ -213,19 +213,15 @@ explore(const Model &model, const DseOptions &options,
         });
     }
 
-    // One mapping cache serves every design point.  Its key holds all
-    // four buffer sizes, so on the Table II grid no point ever hits
-    // another point's entry: every fig15 hit is a DarkNet-19 layer
-    // shape repeated inside one point (292,360 hits and 401,995
-    // misses are exactly 8x and 11x the 36,545 valid points).  The
-    // sharing across points comes from the capacity groups instead:
-    // the W-L1 x A-L2 variants of one (compute, O-L1, A-L1) are
-    // mapped together, with one candidate walk per layer shape
-    // (evaluateSweepGroup).  The cache is thread-safe and
-    // compute-once, and still serves cross-sweep reuse when a caller
-    // passes its own (the serving daemon).
-    MappingCache localCache;
-    MappingCache &cache = options.cache ? *options.cache : localCache;
+    // The sweep runs as capacity groups: the W-L1 x A-L2 variants of
+    // one (compute, O-L1, A-L1) are mapped together, with one
+    // candidate walk per layer shape (evaluateSweepGroup).  Without a
+    // caller's cache each group memoises its own repeated layer
+    // shapes: a cache key holds the compute allocation and all four
+    // buffer sizes, so no Table II point can hit another point's
+    // entry anyway (every fig15 hit is a DarkNet-19 shape repeated
+    // inside one point).  A caller's cache (the serving daemon) still
+    // carries results across sweeps.
     const std::vector<std::pair<int64_t, int64_t>> groups =
         capacityGroups(tasks, 0, static_cast<int64_t>(tasks.size()));
     ThreadPool pool(options.threads);
@@ -233,7 +229,8 @@ explore(const Model &model, const DseOptions &options,
         static_cast<int64_t>(groups.size()), [&](int64_t g) {
             const auto [first, last] = groups[static_cast<size_t>(g)];
             evaluateSweepGroup(model, options, tech, tasks, first, last,
-                               cache, &outcomes[static_cast<size_t>(first)]);
+                               options.cache,
+                               &outcomes[static_cast<size_t>(first)]);
             // Per-point bookkeeping, in sweep order within the group:
             // the heartbeat counts points, not groups.
             for (int64_t i = first; i < last; ++i) {
@@ -266,17 +263,10 @@ explore(const Model &model, const DseOptions &options,
 
     // Deterministic collection in sweep order.
     DseResult result = collectSweepOutcomes(tasks, outcomes);
-    result.cacheEntries = static_cast<int64_t>(cache.size());
-    // The private cache dies with this sweep.  Freeing its ~400k fig15
-    // entries one by one is about half a second of serial work, so the
-    // sweep's lanes release a shard each.
-    if (!options.cache) {
-        pool.parallelFor(static_cast<int64_t>(MappingCache::kShards),
-                         [&](int64_t shard) {
-                             localCache.releaseShard(
-                                 static_cast<size_t>(shard));
-                         });
-    }
+    // The group memos were disjoint, so their sizes sum to the misses.
+    result.cacheEntries =
+        options.cache ? static_cast<int64_t>(options.cache->size())
+                      : result.search.cacheMisses;
     sink.finish(result.complete);
 
     if (!result.poisoned.empty()) {

@@ -101,13 +101,14 @@ struct DseOptions
     CancelToken *cancel = nullptr;
 
     /**
-     * Shared mapping cache (borrowed, may be null).  The sweep
-     * defaults to a private cache scoped to one explore() call; a
-     * long-lived caller (the serving daemon) passes its process-wide
-     * cache here so layer searches stay warm across sweeps.  The key
-     * includes the technology fingerprint, so sharing across tech
-     * models is safe.  Search hit/miss counters then reflect the
-     * cache's prior contents instead of starting cold.
+     * Shared mapping cache (borrowed, may be null).  Without one, each
+     * capacity group memoises its repeated layer shapes privately and
+     * drops the memo when the group is done (no key is shared across
+     * groups).  A long-lived caller (the serving daemon) passes its
+     * process-wide cache here so layer searches stay warm across
+     * sweeps.  The key includes the technology fingerprint, so sharing
+     * across tech models is safe.  Search hit/miss counters then
+     * reflect the cache's prior contents instead of starting cold.
      */
     MappingCache *cache = nullptr;
 };
@@ -132,14 +133,16 @@ struct DseResult
     int64_t infeasible = 0;          //!< no legal mapping for a layer
 
     /** Mapping-search work counters, summed over the sweep.  The
-     *  compute-once cache and fixed-block pruning keep these
-     *  deterministic across thread counts. */
+     *  compute-once cache and per-search live-incumbent pruning keep
+     *  these deterministic across thread counts. */
     SearchStats search;
 
     /** Wall-clock seconds spent in explore() (not deterministic). */
     double elapsedSeconds = 0.0;
 
-    /** Distinct (layer shape, config) searches in the shared cache. */
+    /** Distinct (layer shape, config) searches: the size of
+     *  DseOptions::cache when one was passed, else the sweep's cache
+     *  misses (the group memos hold disjoint keys). */
     int64_t cacheEntries = 0;
 
     /** Design points whose evaluation threw, quarantined with the
@@ -170,7 +173,9 @@ struct DseResult
  * evaluateSweepGroup() in dse/slice.hpp): the W-L1 x A-L2 variants of
  * one (compute allocation, O-L1, A-L1) share one candidate walk per
  * layer shape, with results bit-identical to mapping each point on
- * its own.  Groups run in parallel on options.threads lanes.
+ * its own.  Groups run in parallel on options.threads lanes; each
+ * memoises its repeated layer shapes in options.cache, or in a memo of
+ * its own when that is null.
  *
  * Resilience: a design point whose evaluation throws is quarantined
  * into DseResult::poisoned (unless options.strict), a fired

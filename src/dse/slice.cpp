@@ -92,13 +92,13 @@ mapSweepPoints(const Model &model, const DseOptions &options,
                const TechnologyModel &tech,
                const std::vector<PreparedPoint> &points,
                const std::vector<AcceleratorConfig> &cfgs,
-               MappingCache &cache)
+               MappingCache *cache)
 {
     const uint64_t t0 = options.detailedMetrics ? obs::traceNowNs() : 0;
     std::vector<VariantMappingResult> mapped =
         mapModelVariants(model, cfgs, tech, options.effort,
                          options.objective, pointSearchOptions(options),
-                         &cache);
+                         cache);
     if (options.detailedMetrics) {
         static obs::Histogram &m_point_us =
             obs::MetricsRegistry::instance().histogram(
@@ -177,7 +177,7 @@ evaluateSweepPoint(const Model &model, const DseOptions &options,
     if (!prepareSweepPoint(options, tech, task, cfg, point.area, out))
         return out;
     const std::vector<std::exception_ptr> errors =
-        mapSweepPoints(model, options, tech, {point}, {cfg}, cache);
+        mapSweepPoints(model, options, tech, {point}, {cfg}, &cache);
     if (errors[0])
         std::rethrow_exception(errors[0]);
     return out;
@@ -213,7 +213,7 @@ void
 evaluateSweepGroup(const Model &model, const DseOptions &options,
                    const TechnologyModel &tech,
                    const std::vector<SweepTask> &tasks, int64_t begin,
-                   int64_t end, MappingCache &cache,
+                   int64_t end, MappingCache *cache,
                    SweepPointOutcome *outcomes)
 {
     NNBATON_TRACE_SCOPE("dse.capacity_group");
@@ -279,7 +279,7 @@ evaluateSweepSlice(const Model &model, const DseOptions &options,
         static_cast<size_t>(end - begin));
     for (const auto &[first, last] : capacityGroups(tasks, begin, end)) {
         evaluateSweepGroup(model, options, tech, tasks, first, last,
-                           cache, &outcomes[static_cast<size_t>(
+                           &cache, &outcomes[static_cast<size_t>(
                                       first - begin)]);
         for (int64_t i = first; i < last; ++i) {
             if (outcomes[static_cast<size_t>(i - begin)].kind !=

@@ -96,13 +96,15 @@ capacityGroups(const std::vector<SweepTask> &tasks, int64_t begin,
  * skips, verif::injectPointFault and the area budget apply per point,
  * and a point whose evaluation throws is quarantined (or rethrown
  * under options.strict) without disturbing the others.  The surviving
- * points are mapped together by mapModelVariants(), so each outcome
- * is bit-identical to evaluateSweepPoint() on it.
+ * points are mapped together by mapModelVariants() through @p cache,
+ * or, when it is null, through a memo private to this call (the
+ * group's repeated layer shapes are searched once either way), so
+ * each outcome is bit-identical to evaluateSweepPoint() on it.
  */
 void evaluateSweepGroup(const Model &model, const DseOptions &options,
                         const TechnologyModel &tech,
                         const std::vector<SweepTask> &tasks,
-                        int64_t begin, int64_t end, MappingCache &cache,
+                        int64_t begin, int64_t end, MappingCache *cache,
                         SweepPointOutcome *outcomes);
 
 /**

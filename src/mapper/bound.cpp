@@ -170,15 +170,6 @@ priceBound(const BoundFloor &floor, double al2_pj_per_bit,
 }
 
 double
-energyLowerBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
-                 const TechnologyModel &tech, const Mapping &mapping,
-                 const AnalysisOptions &options)
-{
-    return scoreLowerBound(layer, cfg, tech, mapping,
-                           Objective::MinEnergy, options);
-}
-
-double
 scoreLowerBound(const ConvLayer &layer, const AcceleratorConfig &cfg,
                 const TechnologyModel &tech, const Mapping &mapping,
                 Objective objective, const AnalysisOptions &options)

@@ -78,20 +78,10 @@ double priceBound(const BoundFloor &floor, double al2_pj_per_bit,
                   double wl1_pj_per_bit, Objective objective);
 
 /**
- * Lower bound on the total energy (pJ) of evaluating @p mapping for
- * @p layer on @p cfg under @p options.  The mapping must be legal
- * (checkMapping() empty), as guaranteed for enumerated candidates.
- */
-double energyLowerBound(const ConvLayer &layer,
-                        const AcceleratorConfig &cfg,
-                        const TechnologyModel &tech,
-                        const Mapping &mapping,
-                        const AnalysisOptions &options = {});
-
-/**
  * Lower bound on the pickBest() score of @p mapping: total energy for
  * Objective::MinEnergy, energy times the compute-cycle floor for
- * Objective::MinEdp.
+ * Objective::MinEdp.  The mapping must be legal (checkMapping()
+ * empty), as guaranteed for enumerated candidates.
  */
 double scoreLowerBound(const ConvLayer &layer,
                        const AcceleratorConfig &cfg,

@@ -176,42 +176,6 @@ MappingCache::count(size_t shard, bool hit)
     (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
 }
 
-std::optional<MappingChoice>
-MappingCache::lookupOrCompute(
-    const Key &key,
-    const std::function<std::optional<MappingChoice>()> &search,
-    bool *was_hit)
-{
-    const size_t shard_idx = KeyHash{}(key) % kShards;
-    Shard &shard = shards_[shard_idx];
-    // Loops only when the search this call waited on threw: the entry
-    // is then Empty again and this caller claims it.
-    for (;;) {
-        Entry::State was;
-        const std::shared_ptr<Entry> entry = claim(shard, key, was);
-        if (was == Entry::State::Empty) {
-            std::optional<MappingChoice> value;
-            try {
-                value = search();
-            } catch (...) {
-                finish(shard, *entry, nullptr);
-                throw;
-            }
-            finish(shard, *entry, &value);
-            count(shard_idx, false);
-            if (was_hit)
-                *was_hit = false;
-            return value;
-        }
-        if (was == Entry::State::Computing && !await(shard, *entry))
-            continue;
-        count(shard_idx, true);
-        if (was_hit)
-            *was_hit = true;
-        return entry->value;
-    }
-}
-
 void
 MappingCache::lookupOrComputeBatch(const std::vector<Key> &keys,
                                    const BatchSearch &search,
@@ -309,19 +273,6 @@ MappingCache::setCapacity(int64_t max_bytes)
             std::lock_guard<std::mutex> lock(shard.m);
             evictLocked(shard);
         }
-    }
-}
-
-void
-MappingCache::releaseShard(size_t shard)
-{
-    decltype(Shard::map) map;
-    decltype(Shard::lru) lru;
-    {
-        std::lock_guard<std::mutex> lock(shards_[shard].m);
-        map.swap(shards_[shard].map);
-        lru.swap(shards_[shard].lru);
-        shards_[shard].bytes = 0;
     }
 }
 

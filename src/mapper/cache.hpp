@@ -1,19 +1,17 @@
 /**
  * @file
- * A thread-safe, cross-design-point cache for per-layer mapping
- * search results.
+ * A thread-safe cache for per-layer mapping search results.
  *
- * The pre-design sweep runs a full mapping search for every surviving
- * design point, and each model re-visits the same layer shapes many
- * times (ResNet-50's repeated residual blocks dominate the workload).
- * Hoisting the memoization out of mapModel() and keying it on (layer
- * shape, relevant configuration fields, technology fingerprint,
- * effort, objective) lets one cache serve the whole sweep — including
- * the parallel sweep, where many worker threads look up the same key
- * concurrently — and, since the key carries the TechnologyModel
- * digest, a cache that outlives a single fixed-tech run (the
- * `nn-baton serve` daemon) can never return a result computed under
- * different pJ/bit anchors or clock.
+ * A model re-visits the same layer shapes many times (ResNet-50's
+ * repeated residual blocks dominate the workload), so
+ * mapModelVariants() memoises its layer searches in a MappingCache:
+ * a private one per call, or one the caller shares across calls and
+ * threads (the `nn-baton serve` daemon keeps one for its lifetime).
+ * The key is (layer shape, relevant configuration fields, technology
+ * fingerprint, effort, objective); since it carries the
+ * TechnologyModel digest, a cache that outlives a single fixed-tech
+ * run can never return a result computed under different pJ/bit
+ * anchors or clock.
  *
  * Entries are compute-once while resident: the first thread to miss a
  * key runs the search while later arrivals block on that entry, so
@@ -93,19 +91,6 @@ class MappingCache
                        const TechnologyModel &tech, SearchEffort effort,
                        Objective objective);
 
-    /**
-     * Return the cached search result for the key, computing it with
-     * @p search on a miss.  While an entry is resident @p search runs
-     * at most once for its key across all threads; concurrent
-     * arrivals block until the value is published.  Sets @p was_hit
-     * (when non-null) to false only for the caller that ran the
-     * search.  Returned by value so the result survives eviction.
-     */
-    std::optional<MappingChoice> lookupOrCompute(
-        const Key &key,
-        const std::function<std::optional<MappingChoice>()> &search,
-        bool *was_hit = nullptr);
-
     /** One key's outcome in lookupOrComputeBatch(). */
     struct BatchSlot
     {
@@ -120,17 +105,18 @@ class MappingCache
         const std::vector<size_t> &missing, std::vector<BatchSlot> &slots)>;
 
     /**
-     * lookupOrCompute() for several keys at once (the capacity-batched
-     * sweep looks up one layer shape for every buffer-size variant of
-     * a configuration group).  Every key that is neither resident nor
-     * being computed by another caller is claimed, and all claimed
-     * keys go into ONE call of @p search; keys another caller holds
-     * are awaited afterwards.  The per-key contract is lookupOrCompute()'s:
-     * each key is searched at most once while resident, the claimant
-     * counts a miss and everyone else a hit, and a key whose search
-     * threw is not latched (its error lands in its slot; a waiter on
-     * it claims and searches it again).  @p slots is resized to
-     * keys.size(), slot i answering keys[i].
+     * Return the cached search result for every key, computing the
+     * misses with @p search (the capacity-batched sweep looks up one
+     * layer shape for every buffer-size variant of a configuration
+     * group).  Every key that is neither resident nor being computed
+     * by another caller is claimed, and all claimed keys go into ONE
+     * call of @p search; keys another caller holds are awaited
+     * afterwards.  While an entry is resident its key is searched at
+     * most once across all threads: the claimant counts a miss and
+     * everyone else a hit.  A key whose search threw is not latched
+     * (its error lands in its slot; a waiter on it claims and searches
+     * it again).  @p slots is resized to keys.size(), slot i answering
+     * keys[i]; values are copies, so a result survives eviction.
      */
     void lookupOrComputeBatch(const std::vector<Key> &keys,
                               const BatchSearch &search,
@@ -149,12 +135,6 @@ class MappingCache
     {
         return capacityBytes_.load(std::memory_order_relaxed);
     }
-
-    /** Drop every entry of shard @p shard (< kShards), freeing its
-     *  memory on the calling thread.  Must not race with lookups of
-     *  that shard's keys; a cache being discarded can release its
-     *  shards on several threads at once. */
-    void releaseShard(size_t shard);
 
     /** Number of distinct keys currently cached. */
     size_t size() const;
@@ -176,11 +156,15 @@ class MappingCache
     }
 
     /**
-     * Per-entry resident-byte estimate.  MappingChoice is a flat
-     * aggregate (no heap members), so entry weight is dominated by the
-     * key, the value and the map/list node overhead.
+     * Per-entry resident-byte estimate: the map node (key and entry
+     * pointer), the shared Entry holding the MappingChoice, the LRU
+     * list node, and the three heap-allocated ReuseResult critical-
+     * point vectors inside the choice.  glibc's allocator on x86-64
+     * measured 1,106 B per entry over fig15 Sketch sweep entries and
+     * 1,128 B over Exhaustive zoo entries (malloc'd bytes after
+     * filling a cache, divided by its size); rounded up.
      */
-    static constexpr int64_t kEntryBytes = 512;
+    static constexpr int64_t kEntryBytes = 1152;
 
     /** Shard count (public so metrics can name per-shard counters). */
     static constexpr size_t kShards = 16;
@@ -201,6 +185,8 @@ class MappingCache
         std::optional<MappingChoice> value; //!< immutable once Ready
         std::list<Key>::iterator lruIt; //!< position in the shard LRU
     };
+    static_assert(kEntryBytes >= sizeof(Key) + sizeof(Entry),
+                  "kEntryBytes must cover at least the flat key and entry");
 
     struct KeyHash
     {

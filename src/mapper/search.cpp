@@ -29,22 +29,11 @@ evaluateMapping(const ConvLayer &layer, const AcceleratorConfig &cfg,
 
 namespace {
 
-/**
- * Candidates are consumed in fixed blocks: pruning decisions use the
- * incumbent frozen at the block boundary.  The capacity-batched walk
- * bounds a whole block for every variant before it evaluates any of
- * it, and a lone search must make the same decisions so that a batch
- * of one, a batch of many and the per-point path agree counter for
- * counter.  The pinned evaluated/pruned totals (the fig15 report's
- * search block, the post-search counter pins) rest on this constant:
- * pruning against the live incumbent would evaluate fewer candidates
- * but change them.
- */
-constexpr size_t kPruneBlock = 32;
-
 /** Relative slack before a bound may prune, absorbing the rounding
  *  difference between the bound's and the accounting's float paths
- *  when a floor is exactly tight. */
+ *  when a floor is exactly tight.  A pruned candidate scores at least
+ *  its bound >= incumbent * kPruneMargin > incumbent, so it could
+ *  never have won: pruning changes no winner. */
 constexpr double kPruneMargin = 1.0 + 1e-9;
 
 double
@@ -69,13 +58,13 @@ struct VariantPick
  * candidate block, one set of derived shapes and one bound floor per
  * rung (the four loop-order leaves of a chiplet tile share both), and
  * one loop nest and footprint ladder per candidate.  Each variant
- * still runs exactly the search it would run alone: fixed prune
- * blocks, its own incumbent frozen at each block boundary (the whole
- * block is bounded before any of it is evaluated), its own bound
- * pricing, and a strict '<' reduction in candidate order.  So pick v
- * is bit-identical to a search of cfgs[v] alone, counters included.
- * A cancellation or fault raised by a variant's block poll drops that
- * variant only.
+ * still runs exactly the search it would run alone: every candidate's
+ * bound is priced for the variant and checked against the variant's
+ * live incumbent (the best score found so far), and survivors are
+ * reduced with a strict '<' in candidate order.  A variant's
+ * decisions read only its own incumbent, so pick v is bit-identical
+ * to a search of cfgs[v] alone, counters included.  A cancellation
+ * or fault raised by a variant's rung poll drops that variant only.
  */
 void
 pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
@@ -96,31 +85,30 @@ pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
 
     // The block is walked in ascending-ordinal order — an
     // enumeration-neighbour stream — through the incremental
-    // analyzer, preparing each surviving candidate once for all
-    // variants.
+    // analyzer, preparing each candidate once for all the variants
+    // that did not prune it.
     IncrementalAnalyzer inc(layer, group);
-
-    const size_t n = candidates.size();
-    std::vector<MappingShapes> shapes(std::min(n, kPruneBlock));
-    std::vector<uint8_t> survives(shapes.size() * nv);
-    // The order-free work of the current rung (mapper/candidates.hpp,
-    // kOrderPairs): its shapes and bound floor are derived at its
-    // first leaf and reused by the rest.  Rungs are told apart by
-    // ordinal, so the reuse does not rest on block alignment.
-    int64_t rung = -1;
-    bool rung_floored = false;
-    MappingShapes rung_shapes;
-    BoundFloor rung_floor;
     std::vector<size_t> live(nv);
     for (size_t v = 0; v < nv; ++v)
         live[v] = v;
+    MappingShapes shapes;
+    BoundFloor floor;
     MappingChoice scratch;
 
-    for (size_t base = 0; base < n && !live.empty(); base += kPruneBlock) {
-        // Cancellation granularity: one poll per prune block and
-        // variant, so a fired deadline stops even a single huge layer
-        // search within ~kPruneBlock evaluations.  Unwinding is safe:
-        // the compute-once cache does not latch an entry whose search
+    const size_t n = candidates.size();
+    for (size_t i = 0; i < n;) {
+        // One rung (mapper/candidates.hpp, kOrderPairs): its leaves
+        // share the shapes and the bound floor.
+        const int64_t rung = candidates.ordinal(i) / kOrderPairs;
+        size_t rung_end = i + 1;
+        while (rung_end < n &&
+               candidates.ordinal(rung_end) / kOrderPairs == rung)
+            ++rung_end;
+
+        // Cancellation granularity: one poll per rung and variant, so
+        // a fired deadline stops even a single huge layer search
+        // within kOrderPairs evaluations.  Unwinding is safe: the
+        // compute-once cache does not latch an entry whose search
         // threw, so a later (post-resume) search recomputes it.
         size_t kept = 0;
         for (const size_t v : live) {
@@ -138,65 +126,40 @@ pickBest(const ConvLayer &layer, std::span<const AcceleratorConfig> cfgs,
         if (live.empty())
             break;
 
-        const size_t count = std::min(kPruneBlock, n - base);
-
-        // Pruning pass against each variant's block-boundary
-        // incumbent.  The floor is capacity- and order-independent,
-        // so it is derived once per rung and priced per candidate and
-        // variant.
         {
-            NNBATON_TRACE_SCOPE("mapper.bound_prune");
-            bool bound = false;
-            for (const size_t v : live)
-                bound = bound || (prune && picks[v].best.has_value());
-            for (size_t i = 0; i < count; ++i) {
-                const Mapping &m = candidates.mapping(base + i);
-                const int64_t r = candidates.ordinal(base + i) / kOrderPairs;
-                if (r != rung) {
-                    rung = r;
-                    rung_shapes = deriveShapes(layer, group, m);
-                    rung_floored = false;
-                }
-                if (bound && !rung_floored) {
-                    rung_floor = boundFloor(layer, group, tech,
-                                            rung_shapes, m, objective);
-                    rung_floored = true;
-                }
-                // Survivors are prepared from these shapes.
-                shapes[i] = rung_shapes;
-                for (const size_t v : live) {
-                    VariantPick &pick = picks[v];
-                    const bool cut =
-                        prune && pick.best &&
-                        priceBound(rung_floor, al2_per_bit[v],
-                                   wl1_per_bit[v], objective) >=
-                            pick.bestScore * kPruneMargin;
-                    pick.stats.pruned += cut;
-                    survives[i * nv + v] = !cut;
-                }
-            }
+            // The floor is capacity- and order-independent: derived
+            // once per rung, priced per leaf and variant below.
+            NNBATON_TRACE_DETAIL_SCOPE("mapper.bound_prune");
+            const Mapping &m = candidates.mapping(i);
+            shapes = deriveShapes(layer, group, m);
+            if (prune)
+                floor = boundFloor(layer, group, tech, shapes, m,
+                                   objective);
         }
 
         // Candidate-major evaluation: prepare a survivor once, then
         // resolve, price and reduce it for each variant it survived
         // in (only the W-L1 / A-L2 retention and the counts change
-        // between variants; a winner is copied out).  The bound pass
-        // above already froze every decision of this block, so
-        // reducing as we go equals reducing after it.
-        NNBATON_TRACE_SCOPE("mapper.c3p_analysis");
-        for (size_t i = 0; i < count; ++i) {
+        // between variants; a winner is copied out).
+        NNBATON_TRACE_DETAIL_SCOPE("mapper.c3p_analysis");
+        for (; i < rung_end; ++i) {
             bool prepared = false;
             for (const size_t v : live) {
-                if (!survives[i * nv + v])
+                VariantPick &pick = picks[v];
+                if (prune && pick.best &&
+                    priceBound(floor, al2_per_bit[v], wl1_per_bit[v],
+                               objective) >=
+                        pick.bestScore * kPruneMargin) {
+                    ++pick.stats.pruned;
                     continue;
+                }
                 if (!prepared) {
-                    scratch.mapping = candidates.mapping(base + i);
-                    inc.prepare(scratch.mapping, shapes[i]);
+                    scratch.mapping = candidates.mapping(i);
+                    inc.prepare(scratch.mapping, shapes);
                     inc.beginInto(scratch.analysis);
                     prepared = true;
                 }
                 const AcceleratorConfig &cfg = cfgs[v];
-                VariantPick &pick = picks[v];
                 inc.resolveInto(cfg, scratch.analysis);
                 scratch.energy =
                     computeEnergy(scratch.analysis.counts, cfg, tech);

@@ -38,11 +38,11 @@ enum class Objective
 
 /**
  * Work counters for the mapping search.  All counters are
- * deterministic: pruning decisions are made at fixed block boundaries
- * (kPruneBlock in search.cpp) and the cross-design-point cache
- * computes every unique key exactly once, so the batched sweep, the
- * per-point path and any number of sweep lanes report identical
- * totals.
+ * deterministic: each search prunes against its own live incumbent in
+ * candidate order (so a capacity batch of any size makes the decisions
+ * of a lone search), and a mapping cache computes every unique key
+ * exactly once, so the batched sweep, the per-point path and any
+ * number of sweep lanes report identical totals.
  */
 struct SearchStats
 {
@@ -75,7 +75,7 @@ struct SearchOptions
     bool detailedMetrics = false;
 
     /**
-     * Cooperative cancellation, polled at prune-block boundaries and
+     * Cooperative cancellation, polled once per candidate rung and
      * between layers.  Borrowed, may be null.  A fired token unwinds
      * the search with StatusError(Cancelled / DeadlineExceeded); the
      * sweep engine maps that to a skipped design point.
@@ -189,7 +189,7 @@ struct VariantMappingResult
  * footprint ladders are derived once.  Each variant then resolves its
  * retention boundaries on the ladders (c3p/analysis.hpp), prices the
  * bound and the energy and runtime at its own capacities, and reduces
- * with its own frozen incumbent.  So result v is bit-identical to
+ * with its own live incumbent.  So result v is bit-identical to
  * mapModel(model, cfgs[v], ...) on the same cache state — mapping
  * choices, costs and SearchStats, hits and misses included.
  */

@@ -44,8 +44,9 @@ namespace serve {
 /** Service policy knobs. */
 struct ServiceOptions
 {
-    /** LRU byte cap for the shared mapping cache (0 = unbounded). */
-    int64_t cacheBytes = 256ll << 20;
+    /** LRU byte cap for the shared mapping cache (0 = unbounded);
+     *  about 466k entries at MappingCache::kEntryBytes. */
+    int64_t cacheBytes = 512ll << 20;
 
     /** Hard per-request wall-clock cap.  Pre-design sweeps always run
      *  under min(request deadline, this); post queries only get a

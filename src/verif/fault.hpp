@@ -33,7 +33,7 @@ struct FaultPlan
     /** Throw from evaluating the design point with this sweep index. */
     int64_t failAtPoint = -1;
 
-    /** Throw from inside pickBest() at this prune-block poll (a
+    /** Throw from inside pickBest() at this rung poll (a
      *  global countdown across all searches, decremented per poll). */
     int64_t failAtSearchBlock = -1;
 

@@ -137,8 +137,9 @@ TEST(Determinism, ExplorePruningPreservesPoints)
     EXPECT_EQ(pruned.search.evaluated + pruned.search.pruned,
               full.search.evaluated);
     ASSERT_EQ(pruned.bestEdp().has_value(), full.bestEdp().has_value());
-    if (pruned.bestEdp())
+    if (pruned.bestEdp()) {
         EXPECT_EQ(*pruned.bestEdp(), *full.bestEdp());
+    }
 }
 
 TEST(Determinism, ExploreCountersAreConsistent)

@@ -10,8 +10,9 @@
  *    invariants (exact output traffic, cold-tensor floors, capacity
  *    monotonicity);
  *  - the search's score lower bound must never exceed the exact score
- *    of any candidate, and the pruned search must return the same
- *    best mapping as the exhaustive one (pruning soundness).
+ *    of any candidate, the pruned search must return the same best
+ *    mapping as the exhaustive one (pruning soundness), and its
+ *    counters must follow the live-incumbent prune rule exactly.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "mapper/bound.hpp"
 #include "mapper/candidates.hpp"
 #include "mapper/search.hpp"
+#include "nn/model.hpp"
 #include "tech/technology.hpp"
 #include "verif/interpreter.hpp"
 #include "verif/random_mapping.hpp"
@@ -184,8 +186,9 @@ TEST_P(MappingFuzz, CandidatesLegalAndInvariantsHold)
             EXPECT_GT(a.vectorUtilization, 0.0);
             EXPECT_LE(a.vectorUtilization, 1.0);
             // No D2D traffic on a single chiplet.
-            if (cfg.package.chiplets == 1)
+            if (cfg.package.chiplets == 1) {
                 EXPECT_EQ(a.counts.d2dBits, 0);
+            }
         }
     }
 }
@@ -298,6 +301,77 @@ TEST_P(PruningFuzz, BoundNeverExceedsExactScore)
                     << "seed " << GetParam() << " iter " << iter
                     << " obj " << static_cast<int>(obj) << " layer "
                     << layer.toString() << " mapping " << m.toString();
+            }
+        }
+    }
+}
+
+TEST_P(PruningFuzz, LiveIncumbentRuleIsExact)
+{
+    // The search prunes a candidate exactly when its score bound
+    // reaches the live incumbent (the best score so far) times the
+    // margin.  An independent loop over the public stage functions
+    // must reproduce each capacity variant's counters and winner.
+    auto &g = rng(GetParam() * 15485863u);
+    const TechnologyModel &tech = defaultTech();
+    constexpr double kMargin = 1.0 + 1e-9;
+    for (int iter = 0; iter < 3; ++iter) {
+        const AcceleratorConfig group = randomConfig(g);
+        std::vector<AcceleratorConfig> cfgs;
+        for (const int wl1 : {8192, 18432, 65536}) {
+            for (const int al2 : {32768, 262144}) {
+                AcceleratorConfig cfg = group;
+                cfg.core.wl1Bytes = wl1;
+                cfg.chiplet.al2Bytes = al2;
+                cfgs.push_back(cfg);
+            }
+        }
+        Model model("fuzz", 224);
+        model.addLayer(randomLayer(g));
+        const ConvLayer &layer = model.layers()[0];
+        for (Objective obj : {Objective::MinEnergy, Objective::MinEdp}) {
+            const std::vector<VariantMappingResult> got =
+                mapModelVariants(model, cfgs, tech, SearchEffort::Fast,
+                                 obj, SearchOptions{});
+            for (size_t v = 0; v < cfgs.size(); ++v) {
+                const std::string ctx =
+                    "seed " + std::to_string(GetParam()) + " iter " +
+                    std::to_string(iter) + " variant " +
+                    std::to_string(v) + " obj " +
+                    std::to_string(static_cast<int>(obj)) + " " +
+                    layer.toString();
+                std::optional<MappingChoice> best;
+                double best_score = 0.0;
+                int64_t evaluated = 0, pruned = 0;
+                for (const Mapping &m : enumerateCandidates(
+                         layer, cfgs[v], SearchEffort::Fast)) {
+                    if (best && scoreLowerBound(layer, cfgs[v], tech, m,
+                                                obj) >=
+                                    best_score * kMargin) {
+                        ++pruned;
+                        continue;
+                    }
+                    const MappingChoice c =
+                        evaluateMapping(layer, cfgs[v], tech, m);
+                    ++evaluated;
+                    if (!best || exactScore(c, obj) < best_score) {
+                        best = c;
+                        best_score = exactScore(c, obj);
+                    }
+                }
+                ASSERT_FALSE(got[v].error) << ctx;
+                const ModelMappingResult &r = got[v].mapped;
+                EXPECT_EQ(r.stats.evaluated, evaluated) << ctx;
+                EXPECT_EQ(r.stats.pruned, pruned) << ctx;
+                ASSERT_EQ(r.feasible, best.has_value()) << ctx;
+                if (!best)
+                    continue;
+                ASSERT_EQ(r.choices.size(), 1u) << ctx;
+                EXPECT_EQ(r.choices[0].mapping.toString(),
+                          best->mapping.toString())
+                    << ctx;
+                EXPECT_EQ(exactScore(r.choices[0], obj), best_score)
+                    << ctx;
             }
         }
     }

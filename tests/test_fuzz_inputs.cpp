@@ -120,8 +120,9 @@ TEST(JsonFuzz, RandomByteNoiseNeverCrashes)
         // Must terminate and either parse or report an offset inside
         // (or just past) the input.
         const JsonParseResult r = parseJson(text);
-        if (!r.ok())
+        if (!r.ok()) {
             EXPECT_LE(r.errorOffset, text.size());
+        }
     }
 }
 

@@ -281,10 +281,11 @@ class BufferFastFuzz : public ::testing::TestWithParam<uint32_t>
 
 TEST_P(BufferFastFuzz, FastScanMatchesReferenceScan)
 {
-    // analyzeBufferFast() must be bit-identical to analyzeBuffer() on
-    // every field, including the critical-point list, for the nests
-    // real mappings lower to, across all three buffers and a ladder
-    // of capacities spanning never-fits to always-fits.
+    // A footprint ladder resolved at a capacity must be bit-identical
+    // to analyzeBuffer() on every field, including the critical-point
+    // list, for the nests real mappings lower to, across all three
+    // buffers and a ladder of capacities spanning never-fits to
+    // always-fits.
     std::mt19937 &g = rng(GetParam() ^ 0x5eed);
     const AcceleratorConfig cfg = caseStudyConfig();
     const ConvLayer layer = randomLayer(g);
@@ -296,11 +297,13 @@ TEST_P(BufferFastFuzz, FastScanMatchesReferenceScan)
     for (const LoopNest *nest : {&nests.perCore, &nests.perChiplet}) {
         for (Tensor t : {Tensor::Weights, Tensor::Activations,
                          Tensor::Outputs}) {
+            FootprintLadder ladder;
+            buildFootprintLadder(*nest, t, layer, ladder);
             for (int64_t cap = 1; cap <= (int64_t(1) << 40); cap <<= 4) {
                 const ReuseResult ref =
                     analyzeBuffer(*nest, t, layer, cap);
-                const ReuseResult fast =
-                    analyzeBufferFast(*nest, t, layer, cap);
+                ReuseResult fast;
+                ladder.resolveInto(cap, fast);
                 ASSERT_EQ(fast.fillBytes, ref.fillBytes) << cap;
                 ASSERT_EQ(fast.footprintAtFit, ref.footprintAtFit);
                 ASSERT_EQ(fast.fitBoundary, ref.fitBoundary);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "c3p/access.hpp"
@@ -306,6 +307,30 @@ TEST(SearchLayer, DepthwiseActivationFootprintFollowsLanes)
 // guard against cross-request aliasing and unbounded growth.
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** One key through lookupOrComputeBatch(), computed by @p compute on a
+ *  miss; @p was_hit (when non-null) reports whether it was served. */
+void
+lookupOne(MappingCache &cache, const MappingCache::Key &key,
+          const std::function<std::optional<MappingChoice>()> &compute,
+          bool *was_hit = nullptr)
+{
+    std::vector<MappingCache::BatchSlot> slots;
+    cache.lookupOrComputeBatch(
+        {key},
+        [&](const std::vector<size_t> &missing,
+            std::vector<MappingCache::BatchSlot> &out) {
+            for (const size_t i : missing)
+                out[i].value = compute();
+        },
+        slots);
+    if (was_hit)
+        *was_hit = slots[0].hit;
+}
+
+} // namespace
+
 TEST(MappingCache, KeyFoldsInTechnologyFingerprint)
 {
     const ConvLayer layer = makeConv("t", 28, 28, 128, 64, 3, 3, 1);
@@ -404,7 +429,7 @@ TEST(MappingCache, LruEvictionHonoursByteCapacity)
     };
     const int kMany = 4 * static_cast<int>(MappingCache::kShards) * 8;
     for (int i = 0; i < kMany; ++i)
-        (void)cache.lookupOrCompute(keyFor(i), compute);
+        lookupOne(cache, keyFor(i), compute);
     EXPECT_EQ(computed, kMany);
     EXPECT_GT(cache.evictions(), 0);
     EXPECT_LE(cache.bytes(), cap);
@@ -413,9 +438,9 @@ TEST(MappingCache, LruEvictionHonoursByteCapacity)
 
     // An evicted key recomputes (same result), a resident one hits.
     bool hit = true;
-    (void)cache.lookupOrCompute(keyFor(0), compute, &hit);
+    lookupOne(cache, keyFor(0), compute, &hit);
     EXPECT_FALSE(hit); // key 0 was the coldest; long evicted
-    (void)cache.lookupOrCompute(keyFor(0), compute, &hit);
+    lookupOne(cache, keyFor(0), compute, &hit);
     EXPECT_TRUE(hit);
     EXPECT_GT(cache.hits(), 0);
     EXPECT_GT(cache.misses(), 0);
@@ -431,10 +456,9 @@ TEST(MappingCache, UnboundedByDefaultNeverEvicts)
             base, cfg, defaultTech(), SearchEffort::Fast,
             Objective::MinEnergy);
         k.ho = i;
-        (void)cache.lookupOrCompute(
-            k, []() -> std::optional<MappingChoice> {
-                return std::nullopt;
-            });
+        lookupOne(cache, k, []() -> std::optional<MappingChoice> {
+            return std::nullopt;
+        });
     }
     EXPECT_EQ(cache.size(), 200u);
     EXPECT_EQ(cache.evictions(), 0);

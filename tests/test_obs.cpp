@@ -168,8 +168,9 @@ TEST(Histogram, BucketBoundsAreConsistent)
         const int64_t hi = H::bucketUpperBound(b);
         EXPECT_EQ(H::bucketIndex(lo), b) << b;
         EXPECT_EQ(H::bucketIndex(hi), b) << b;
-        if (b > 1)
+        if (b > 1) {
             EXPECT_EQ(H::bucketLowerBound(b), H::bucketUpperBound(b - 1) + 1);
+        }
     }
     EXPECT_EQ(H::bucketUpperBound(H::kBuckets - 1),
               std::numeric_limits<int64_t>::max());

@@ -88,11 +88,13 @@ expectSameResult(const DseResult &a, const DseResult &b)
     for (size_t i = 0; i < a.points.size(); ++i)
         expectSamePoint(a.points[i], b.points[i]);
     ASSERT_EQ(a.bestEdp().has_value(), b.bestEdp().has_value());
-    if (a.bestEdp())
+    if (a.bestEdp()) {
         EXPECT_EQ(*a.bestEdp(), *b.bestEdp());
+    }
     ASSERT_EQ(a.bestEnergy().has_value(), b.bestEnergy().has_value());
-    if (a.bestEnergy())
+    if (a.bestEnergy()) {
         EXPECT_EQ(*a.bestEnergy(), *b.bestEnergy());
+    }
 }
 
 /** RAII so a failing test cannot leave a fault plan armed. */

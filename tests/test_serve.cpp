@@ -473,8 +473,8 @@ TEST(AccessLog, FailedRequestDumpsFlightRecorderWithItsRid)
     opt.flightDumpPath = dumpPath;
     EvalService service{opt};
 
-    // Inject a fault inside the mapping search: the very first
-    // prune-block poll of this request's evaluation throws.
+    // Inject a fault inside the mapping search: an early
+    // rung poll of this request's evaluation throws.
     verif::FaultPlan plan;
     plan.failAtSearchBlock = 1;
     verif::armFaultPlan(plan);

@@ -37,10 +37,12 @@ TEST(Simba, PsumTrafficPresentWithRowSplit)
     const ConvLayer layer = makeConv("t", 28, 28, 512, 256, 3, 3, 1);
     const SimbaLayerCost c =
         simbaLayerCost(layer, caseStudyConfig(), defaultTech());
-    if (c.mapping.chipRows > 1)
+    if (c.mapping.chipRows > 1) {
         EXPECT_GT(c.counts.nocBits, 0);
-    if (c.mapping.pkgRows > 1)
+    }
+    if (c.mapping.pkgRows > 1) {
         EXPECT_GT(c.counts.d2dBits, 0);
+    }
     EXPECT_GT(c.counts.nocBits + c.counts.d2dBits, 0);
 }
 

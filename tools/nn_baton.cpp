@@ -91,7 +91,7 @@ struct Args
     // Service options for `serve` / `request` / `stats`.
     std::string socketPath;          //!< --socket: Unix socket path
     std::string tcpAddress;          //!< serve: --tcp host:port
-    int64_t cacheBytes = 256 << 20;  //!< --cache-bytes: LRU cap
+    int64_t cacheBytes = 512ll << 20; //!< --cache-bytes: LRU cap
     std::string requestBody;         //!< request: --request JSON line
     double timeoutSeconds = 30.0;    //!< request/stats: --timeout
     int retries = 0;                 //!< request: --retries budget
@@ -184,7 +184,7 @@ usage()
         "                        to n times with backoff; exit 4 when\n"
         "                        still failing retryably [0]\n"
         "  --cache-bytes <n>     serve: mapping-cache LRU capacity in\n"
-        "                        bytes [268435456]\n"
+        "                        bytes [536870912]\n"
         "  --max-inflight <n>    serve: refuse heavy requests beyond n\n"
         "                        evaluating concurrently with a\n"
         "                        retryable envelope [unlimited]\n"
